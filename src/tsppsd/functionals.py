@@ -6,16 +6,15 @@ normalized so their average over X equals 1, which places them inside the
 dual body: the average of any single edge coordinate over X is 2/(n-1), so
 every normalization constant has a closed form and no enumeration is needed.
 
-Each generator also carries a vertex coloring: a partition of the vertices
-such that the functional is invariant under every color-preserving
-relabeling.  Downstream matrix assembly uses the coloring to cache entries
-per isomorphism class; it is optional metadata and never affects values.
+A functional is only its constant and coefficients: the degree-1 moment
+matrix is built from those alone, at the same cost for a facet and for an
+arbitrary explicit functional.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -38,15 +37,12 @@ class LinearFunctional:
     n: int
     constant: Fraction
     coeff: Mapping[Edge, Fraction]
-    colors: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
         for e in self.coeff:
             check_edge(e, self.n)
-        if self.colors is not None and len(self.colors) != self.n:
-            raise ValueError("coloring must assign one color per vertex")
 
     def coefficient(self, e: Edge) -> Fraction:
         return self.coeff.get(e, Fraction(0))
@@ -78,9 +74,7 @@ def average_on_x(f: LinearFunctional) -> Fraction:
 def make_ones(n: int) -> LinearFunctional:
     """The all-ones function, written linearly: 1/n on every edge."""
     w = Fraction(1, n)
-    return LinearFunctional(
-        n, Fraction(0), {e: w for e in all_edges(n)}, colors=(0,) * n
-    )
+    return LinearFunctional(n, Fraction(0), {e: w for e in all_edges(n)})
 
 
 def make_subtour(n: int, U: Iterable[int]) -> LinearFunctional:
@@ -101,24 +95,20 @@ def make_subtour(n: int, U: Iterable[int]) -> LinearFunctional:
         for v in range(1, n + 1):
             if v not in Uset:
                 coeff[edge(u, v)] = c
-    colors = tuple(0 if x in Uset else 1 for x in range(1, n + 1))
-    return LinearFunctional(n, -2 * c, coeff, colors=colors)
+    return LinearFunctional(n, -2 * c, coeff)
 
 
 def make_edge_bound(n: int, e: Edge, side: str) -> LinearFunctional:
     """Normalized edge bound: ((n-1)/2) x_e for the lower side x_e >= 0,
     ((n-1)/(n-3)) (1 - x_e) for the upper side x_e <= 1."""
     check_edge(e, n)
-    colors = tuple(0 if x in e else 1 for x in range(1, n + 1))
     if side == "lower":
-        return LinearFunctional(
-            n, Fraction(0), {e: Fraction(n - 1, 2)}, colors=colors
-        )
+        return LinearFunctional(n, Fraction(0), {e: Fraction(n - 1, 2)})
     if side == "upper":
         if n == 3:
             raise ValueError("upper edge bound degenerates at n=3")
         c = Fraction(n - 1, n - 3)
-        return LinearFunctional(n, c, {e: -c}, colors=colors)
+        return LinearFunctional(n, c, {e: -c})
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
@@ -156,14 +146,7 @@ def make_two_matching(n: int, U: Iterable[int], F: Iterable[Edge]) -> LinearFunc
         raise ValueError("two-matching form has nonpositive average; cannot normalize")
     c = 1 / avg
     coeff = {e: (-c if e in Fedges else c) for e in cut}
-    # Color classes: U vs V-U, with the endpoints of each F edge singled out
-    # pairwise so that color-preserving permutations fix F.
-    colors = [0 if x in Uset else 1 for x in range(1, n + 1)]
-    for i, e in enumerate(Fedges):
-        a, b = (e.u, e.v) if e.u in Uset else (e.v, e.u)
-        colors[a - 1] = 2 + 2 * i
-        colors[b - 1] = 3 + 2 * i
-    return LinearFunctional(n, -c * (1 - s2), coeff, colors=tuple(colors))
+    return LinearFunctional(n, -c * (1 - s2), coeff)
 
 
 def combine(
@@ -181,12 +164,7 @@ def combine(
         val = a * f.coefficient(e) + b * g.coefficient(e)
         if val:
             coeff[e] = val
-    colors = None
-    if f.colors is not None and g.colors is not None:
-        merged = list(zip(f.colors, g.colors))
-        palette = {c: i for i, c in enumerate(sorted(set(merged)))}
-        colors = tuple(palette[c] for c in merged)
-    return LinearFunctional(f.n, a * f.constant + b * g.constant, coeff, colors=colors)
+    return LinearFunctional(f.n, a * f.constant + b * g.constant, coeff)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ Two construction routes:
   where P(E) is the fraction of tours containing the edge set E, available
   in closed form from the disjoint-path count.
 
-The closed-form builder exploits the vertex coloring carried by functional
-generators: entries depend only on the color-isomorphism class of the edge
-pair, so a matrix with ~10^5 entries needs only a few dozen rational
-computations.  Matrices are exact; floats appear only in eigensolving.
+The closed-form builder needs only the edge coefficients, their vertex sums
+and their total: every entry is affine in a few statistics of the edge pair,
+so the whole matrix is one exact integer array over a common denominator,
+built with a few numpy operations at any n.  Matrices are exact; floats
+appear only in eigensolving.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from tsppsd.cycles import (
     Edge,
     all_edges,
     count_cycles_with_edge_set,
-    edge,
-    edge_index,
     enumerate_cycles,
     factorial,
     num_cycles,
@@ -280,236 +279,185 @@ def containment_probability(n: int, E: Iterable[Edge]) -> Fraction:
     return Fraction(count_cycles_with_edge_set(n, E), num_cycles(n))
 
 
-def closed_form_entry(f: LinearFunctional, base: Iterable[Edge]) -> Fraction:
-    """Entry of the degree-1 moment matrix for basis pair with union `base`."""
-    base_set = frozenset(base)
-    n = f.n
-    val = f.constant * containment_probability(n, base_set)
-    if not f.coeff:
-        return val
-    info = _base_structure(base_set) if len(base_set) <= 2 else None
-    half = num_cycles(n)
-    for e, c in f.coeff.items():
-        if info is not None:
-            cnt = _count_with_extra(n, base_set, info, e)
-        else:
-            cnt = count_cycles_with_edge_set(n, base_set | {e})
-        if cnt:
-            val += c * Fraction(cnt, half)
-    return val
+def _path_probability(n: int, k: int, m: int) -> Fraction:
+    """Fraction of tours of K_n containing a fixed system of m vertex-disjoint
+    paths with k edges in total; 0 when no such system fits in K_n."""
+    if m == 0:
+        return Fraction(1)
+    if k + m > n:
+        return Fraction(0)
+    return Fraction(2 ** (m - 1) * factorial(n - k - 1), num_cycles(n))
 
 
-def _base_structure(base: frozenset[Edge]):
-    """(edge count, component count, vertex degree, vertex component id)."""
-    deg: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    m = 0
-    for e in sorted(base):
-        cu, cv = comp.get(e.u), comp.get(e.v)
-        if cu is None and cv is None:
-            m += 1
-            comp[e.u] = comp[e.v] = m
-        elif cu is None:
-            comp[e.u] = cv
-        elif cv is None:
-            comp[e.v] = cu
-        else:
-            m -= 1  # unreachable for <= 2 distinct edges
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-    return len(base), m, deg, comp
+def _edge_vertex_incidence(n: int) -> np.ndarray:
+    """0/1 int64 matrix, one row per vertex and one column per edge of K_n."""
+    edges = all_edges(n)
+    inc = np.zeros((n, len(edges)), dtype=np.int64)
+    cols = np.arange(len(edges))
+    inc[[e.u - 1 for e in edges], cols] = 1
+    inc[[e.v - 1 for e in edges], cols] = 1
+    return inc
 
 
-def _count_with_extra(n: int, base: frozenset[Edge], info, e: Edge) -> int:
-    """Cycles containing base (<= 2 disjoint-path edges) and e, closed form."""
-    k, m, deg, comp = info
-    if e in base:
-        k2, m2 = k, m
-    else:
-        du, dv = deg.get(e.u, 0), deg.get(e.v, 0)
-        if du >= 2 or dv >= 2:
-            return 0
-        if du == 0 and dv == 0:
-            k2, m2 = k + 1, m + 1
-        elif du and dv:
-            if comp[e.u] == comp[e.v]:
-                return 0  # closes a short cycle
-            k2, m2 = k + 1, m - 1
-        else:
-            k2, m2 = k + 1, m
-    if m2 == 0:
-        return num_cycles(n)
-    return 2 ** (m2 - 1) * factorial(n - k2 - 1)
+def degree_relations(n: int) -> np.ndarray:
+    """Integer matrix whose column i-1 is the vertex-degree relation at i in
+    the degree-1 basis: 2 on the constant, -1 on each edge at i."""
+    return np.vstack(
+        [np.full((1, n), 2, dtype=np.int64), -_edge_vertex_incidence(n).T]
+    )
+
+
+ROW_BLOCK = 256  # rows of N built at once; bounds the size of temporaries
 
 
 class ClosedFormK1:
-    """Degree-1 closed-form moment matrix in pair-class compressed form.
+    """Degree-1 closed-form moment matrix M = N / scale, N an exact integer
+    matrix.
 
     Basis order: the constant monomial, then the edges of K_n
-    lexicographically.  When the functional carries a vertex coloring the
-    entry for a basis pair depends only on the color pattern of the two
-    edges and how they overlap, so the matrix is stored as an integer
-    class-code array plus one exact value per class.
+    lexicographically.  Entry (a, b) of two edges is
+    const * P(a u b) + sum_e c_e * P(a u b u {e}), and by the path-block
+    count P depends only on how e meets a u b.  Summed over e, the entry is
+    affine in four statistics of the pair, with coefficients chosen by a
+    fifth, the adjacency (B B^T)_ab in {0, 1, 2} (disjoint, adjacent, equal):
+
+    * t_a + t_b, where t = B s and s = C 1 are the vertex sums;
+    * c_a + c_b;
+    * (B C B^T)_ab, the coefficients between endpoints of a and of b;
+    * (B diag(s) B^T)_ab, the vertex sums at shared endpoints.
+
+    Here C is the symmetric vertex-by-vertex coefficient matrix and B the
+    edge-vertex incidence.  The constant row repeats the diagonal.  N is
+    int64 when a bound on its entries computed from the functional fits,
+    and holds Python ints otherwise.
     """
 
     def __init__(self, f: LinearFunctional):
         self.f = f
-        self.n = f.n
-        self.edges = all_edges(self.n)
-        self.dim = 1 + len(self.edges)
-        if f.colors is not None:
-            self._codes = _pair_class_codes(self.n, f.colors)
-            reps = _class_representatives(self._codes)
-            self._values = {
-                code: closed_form_entry(f, _basis_pair_union(self.edges, i, j))
-                for code, (i, j) in reps.items()
-            }
-        else:
-            self._codes = None
-            self._dense = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    v = closed_form_entry(f, _basis_pair_union(self.edges, i, j))
-                    self._dense[i][j] = self._dense[j][i] = v
+        n = self.n = f.n
+        self.edges = all_edges(n)
+        E = len(self.edges)
+        self.dim = 1 + E
+        den = math.lcm(
+            f.constant.denominator, *(c.denominator for c in f.coeff.values())
+        )
+        const = int(f.constant * den)
+        coeff = {e: int(c * den) for e, c in f.coeff.items()}
+        total = sum(coeff.values())
+        p1, p2a, p2d = (_path_probability(n, k, m) for k, m in ((1, 1), (2, 1), (2, 2)))
+        p31, p32, p33 = (_path_probability(n, 3, m) for m in (1, 2, 3))
+        tri = Fraction(n == 3)  # a closed triangle is a tour only at n = 3
+        # Coefficients of (1, t_a+t_b, c_a+c_b, (BCB^T)_ab, (B diag(s) B^T)_ab)
+        # for disjoint, adjacent and equal edge pairs, in units of 1/den.
+        W = [
+            [const * p2d + total * p33, p32 - p33, p2d - 2 * p32 + p33,
+             p31 - 2 * p32 + p33, Fraction(0)],
+            [const * p2a + total * p32, p31 - p32, p2a + p31 - tri,
+             p32 - 2 * p31 + tri, p32 - 2 * p31],
+            [const * p1 + total * p2d, Fraction(0), (p1 - 2 * p2a + p2d) / 2,
+             Fraction(0), p2a - p2d],
+        ]
+        corner = const + total * p1
+        R = math.lcm(corner.denominator, *(w.denominator for row in W for w in row))
+        self.scale = den * R
+        Wi = [[int(w * R) for w in row] for row in W]
+        # every statistic is at most 4 * sum |c_e| in magnitude
+        stat = 4 * sum(abs(c) for c in coeff.values())
+        bound = max(
+            [abs(int(corner * R)), stat]
+            + [abs(row[0]) + stat * sum(abs(w) for w in row[1:]) for row in Wi]
+        )
+        dt = np.int64 if bound < 2**63 else object
+        Wi = np.array(Wi, dtype=dt)
+        C = np.zeros((n, n), dtype=dt)
+        for e, c in coeff.items():
+            C[e.u - 1, e.v - 1] = C[e.v - 1, e.u - 1] = c
+        inc = _edge_vertex_incidence(n)
+        u = np.array([e.u - 1 for e in self.edges], dtype=np.int64)
+        v = np.array([e.v - 1 for e in self.edges], dtype=np.int64)
+        s = C.sum(axis=1)
+        t = s[u] + s[v]
+        c = C[u, v]
+        H = C @ inc.astype(dt)  # H[x, b]: coefficients from x to the ends of b
+        N = np.empty((self.dim, self.dim), dtype=dt)
+        N[0, 0] = int(corner * R)
+        for lo in range(0, E, ROW_BLOCK):
+            rows = slice(lo, min(lo + ROW_BLOCK, E))
+            ua, va = u[rows], v[rows]
+            adj = inc[ua] + inc[va]
+            block = Wi[adj, 0]
+            block += Wi[adj, 1] * (t[rows, None] + t)
+            block += Wi[adj, 2] * (c[rows, None] + c)
+            block += Wi[adj, 3] * (H[ua] + H[va])
+            block += Wi[adj, 4] * (s[ua, None] * inc[ua] + s[va, None] * inc[va])
+            N[1 + lo : 1 + rows.stop, 1:] = block
+        N[0, 1:] = N[1:, 0] = N.diagonal()[1:]
+        self._N = N
+        self._fractions: dict[int, Fraction] = {}
+        self._max_abs = max(int(N.max()), -int(N.min()))
+        # both operands exact in float64, so one correctly rounded division
+        self._float_exact = self._max_abs < 2**53 and self.scale < 2**53
+
+    def _exact(self, x: int) -> Fraction:
+        """Exact value of the numerator x; each distinct one is converted
+        once per matrix."""
+        q = self._fractions.get(x)
+        if q is None:
+            q = self._fractions[x] = Fraction(x, self.scale)
+        return q
 
     def entry(self, i: int, j: int) -> Fraction:
-        if self._codes is None:
-            return self._dense[i][j]
-        return self._values[int(self._codes[i, j])]
+        return self._exact(self._N.item(i, j))
 
     def row(self, i: int, cols: Sequence[int] | None = None) -> list[Fraction]:
-        if self._codes is None:
-            row = self._dense[i]
-            return list(row) if cols is None else [row[j] for j in cols]
-        vals = self._values
-        codes = self._codes[i]
-        if cols is None:
-            return [vals[int(c)] for c in codes]
-        return [vals[int(codes[j])] for j in cols]
+        nums = self._N[i] if cols is None else self._N[i, list(cols)]
+        return [self._exact(x) for x in nums.tolist()]
 
     def exact_entries(self, keep: Sequence[int] | None = None) -> list[list[Fraction]]:
         idx = range(self.dim) if keep is None else keep
-        return [self.row(i, None if keep is None else keep) for i in idx]
+        return [self.row(i, keep) for i in idx]
+
+    def _numerators(self, keep: Sequence[int] | None) -> np.ndarray:
+        return self._N if keep is None else self._N[np.ix_(keep, keep)]
 
     def float_matrix(self, keep: Sequence[int] | None = None) -> np.ndarray:
-        if self._codes is None:
-            M = np.array(
-                [[float(x) for x in row] for row in self._dense]
-            )
-        else:
-            uniq, inv = np.unique(self._codes, return_inverse=True)
-            lut = np.array([float(self._values[int(c)]) for c in uniq])
-            M = lut[inv].reshape(self._codes.shape)
-        if keep is not None:
-            M = M[np.ix_(keep, keep)]
-        return M
+        """Correctly rounded float64 entries."""
+        N = self._numerators(keep)
+        if self._float_exact:
+            return N / self.scale
+        # Python int division rounds correctly at any size
+        return (N.astype(object) / self.scale).astype(float)
 
     def float_entry_error_bound(self) -> float:
-        """Max over classes of |float(value) - value|, exact comparison."""
-        values = (
-            self._values.values()
-            if self._codes is not None
-            else (x for row in self._dense for x in row)
-        )
-        worst = Fraction(0)
-        for v in values:
-            err = abs(Fraction(float(v)) - v)
-            if err > worst:
-                worst = err
-        # round the exact bound outward
+        """Bound on |float_matrix() - M| per entry, rounded outward."""
+        if self._float_exact:
+            # a correctly rounded value is within 2^-53 of it, relatively
+            worst = Fraction(self._max_abs, self.scale * 2**53)
+        else:
+            worst = max(
+                abs(Fraction(x / self.scale) - Fraction(x, self.scale))
+                for x in np.unique(self._N).tolist()
+            )
         up = math.nextafter(float(worst), math.inf)
         return up if Fraction(up) >= worst else math.nextafter(up, math.inf)
 
-    def class_group_sums(
-        self, keep: Sequence[int], weights: Sequence[Fraction]
-    ) -> list[list[tuple[Fraction, int]]] | None:
-        """Per row of the keep-submatrix: exact integer weight sums per entry
-        class, paired with the class value.  Integer weights only; None when
-        no class structure is available or weights are too large for exact
-        float accumulation (callers then do plain rational dot products)."""
-        if self._codes is None:
-            return None
-        wi = []
-        for x in weights:
-            f = Fraction(x)
-            if f.denominator != 1 or abs(f.numerator) > 10**12:
-                return None
-            wi.append(f.numerator)
-        sub = self._codes[np.ix_(keep, keep)]
-        uniq, inv = np.unique(sub, return_inverse=True)
-        inv = inv.reshape(sub.shape)
-        ncls = len(uniq)
-        r = len(keep)
-        warr = np.array(wi, dtype=np.float64)
-        sums = np.zeros((r, ncls))
-        np.add.at(sums, (np.arange(r)[:, None], inv), warr[None, :])
-        vals = [self._values[int(c)] for c in uniq]
-        out = []
-        for row in range(r):
-            srow = sums[row]
-            out.append(
-                [(vals[ci], int(srow[ci])) for ci in range(ncls) if srow[ci]]
-            )
-        return out
+    def annihilates(self, X: np.ndarray, keep: Sequence[int] | None = None) -> bool:
+        """Exact test that M, restricted to `keep`, maps every column of the
+        integer matrix X to zero."""
+        N = self._numerators(keep)
+        bound = self._max_abs * int(np.abs(X).sum(axis=0).max())
+        # float64 sums of integers are exact while every partial sum is below 2^53
+        dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
+        return not np.any(N.astype(dt) @ X.astype(dt))
 
     def star_kernel_verified(self) -> bool:
         """Exact check that every vertex-degree relation annihilates the
-        matrix (2 on the constant coordinate, -1 on each edge at the vertex).
-
-        Fast route: scale all entries to a common-denominator integer
-        matrix; when every product and partial sum provably fits in the
-        53-bit float mantissa the numpy matmul is exact integer arithmetic.
-        Otherwise falls back to rational dot products.
-        """
-        n = self.n
-        if self._codes is not None:
-            vals = list(self._values.values())
-        else:
-            vals = [x for row in self._dense for x in row]
-        den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-        bound = max((abs(v.numerator) * (den // v.denominator) for v in vals),
-                    default=0)
-        # products bounded by 2*bound, partial sums by (dim+1) products
-        if 2 * bound * (self.dim + 1) < 2**52:
-            if self._codes is not None:
-                uniq, inv = np.unique(self._codes, return_inverse=True)
-                lut = np.array(
-                    [float(int(self._values[int(c)] * den)) for c in uniq]
-                )
-                M = lut[inv].reshape(self._codes.shape)
-            else:
-                M = np.array(
-                    [[float(int(x * den)) for x in row] for row in self._dense]
-                )
-            S = np.zeros((self.dim, n))
-            for i in range(1, n + 1):
-                S[0, i - 1] = 2.0
-                for j in range(1, n + 1):
-                    if j != i:
-                        S[1 + edge_index(edge(i, j), n), i - 1] = -1.0
-            return not np.any(M @ S)
-        for i in range(1, n + 1):
-            cols = [(0, Fraction(2))] + [
-                (1 + edge_index(edge(i, j), n), Fraction(-1))
-                for j in range(1, n + 1)
-                if j != i
-            ]
-            for r in range(self.dim):
-                if sum((self.entry(r, c) * x for c, x in cols), Fraction(0)):
-                    return False
-        return True
+        matrix (2 on the constant coordinate, -1 on each edge at the vertex)."""
+        return self.annihilates(degree_relations(self.n))
 
     def zero_rows(self) -> list[int]:
-        """Indices whose entire row is exactly zero (exact test via classes)."""
-        if self._codes is None:
-            return [
-                i for i, row in enumerate(self._dense) if all(x == 0 for x in row)
-            ]
-        zero_codes = {c for c, v in self._values.items() if v == 0}
-        if not zero_codes:
-            return []
-        mask = np.isin(self._codes, np.array(sorted(zero_codes), dtype=np.int64))
-        return [i for i in range(self.dim) if mask[i].all()]
+        """Indices whose entire row is exactly zero."""
+        return np.flatnonzero(~(self._N != 0).any(axis=1)).tolist()
 
     def to_moment_matrix(self) -> MomentMatrix:
         basis: list[Monomial] = [()] + [(c,) for c in range(len(self.edges))]
@@ -517,67 +465,6 @@ class ClosedFormK1:
         return MomentMatrix(
             1, tuple(basis), labels, self.exact_entries(), n=self.n
         )
-
-
-def _basis_pair_union(edges: list[Edge], i: int, j: int) -> frozenset[Edge]:
-    out = set()
-    if i > 0:
-        out.add(edges[i - 1])
-    if j > 0:
-        out.add(edges[j - 1])
-    return frozenset(out)
-
-
-def _pair_class_codes(n: int, colors: tuple[int, ...]) -> np.ndarray:
-    """Int64 class code per basis pair; equal codes have equal entries for
-    any functional invariant under color-preserving vertex permutations."""
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    col = np.array([palette[c] for c in colors], dtype=np.int64)
-    if len(palette) > 1000:
-        raise ValueError("too many colors to pack class codes")
-    edges = all_edges(n)
-    u = np.array([e.u - 1 for e in edges], dtype=np.int64)
-    v = np.array([e.v - 1 for e in edges], dtype=np.int64)
-    cu, cv = col[u], col[v]
-    lo = np.minimum(cu, cv)
-    hi = np.maximum(cu, cv)
-    pcode = lo * 1024 + hi  # < 2^20
-    E = len(edges)
-    d = E + 1
-    codes = np.empty((d, d), dtype=np.int64)
-    codes[0, 0] = 0
-    single = (3 << 50) + pcode
-    codes[0, 1:] = single
-    codes[1:, 0] = single
-    # pairwise blocks
-    ui, uj = u[:, None], u[None, :]
-    vi, vj = v[:, None], v[None, :]
-    shared = (ui == uj) | (ui == vj) | (vi == uj) | (vi == vj)
-    # color of the shared vertex, seen from edge i
-    shared_is_u = (ui == uj) | (ui == vj)
-    cs = np.where(shared_is_u, cu[:, None], cv[:, None])
-    oi = np.where(shared_is_u, cv[:, None], cu[:, None])
-    shared_is_u_j = (uj == ui) | (uj == vi)
-    oj = np.where(shared_is_u_j, cv[None, :], cu[None, :])
-    o_lo = np.minimum(oi, oj)
-    o_hi = np.maximum(oi, oj)
-    shared_code = (1 << 50) + cs * (1 << 30) + o_lo * 1024 + o_hi
-    p_lo = np.minimum(pcode[:, None], pcode[None, :])
-    p_hi = np.maximum(pcode[:, None], pcode[None, :])
-    disjoint_code = (2 << 50) + p_lo * (1 << 20) + p_hi
-    block = np.where(shared, shared_code, disjoint_code)
-    np.fill_diagonal(block, single)  # I u J collapses to the single edge
-    codes[1:, 1:] = block
-    return codes
-
-
-def _class_representatives(codes: np.ndarray) -> dict[int, tuple[int, int]]:
-    d = codes.shape[0]
-    flat = codes.reshape(-1)
-    uniq, first = np.unique(flat, return_index=True)
-    return {
-        int(c): (int(pos // d), int(pos % d)) for c, pos in zip(uniq, first)
-    }
 
 
 def closed_form_k1(f: LinearFunctional) -> ClosedFormK1:

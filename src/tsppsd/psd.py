@@ -10,7 +10,7 @@ moment matrix.  The decision pipeline, fastest first:
 3. try a rigorous floating-point Cholesky certificate of definiteness;
 4. if the reduced matrix is numerically singular, deflate exact kernel
    vectors reconstructed from the numerical nullspace (each one re-verified
-   in rational arithmetic before use) and retry;
+   in exact integer arithmetic before use) and retry;
 5. fall back to exact rational LDL^T, which is always conclusive and
    produces an exact witness when the answer is NOT_PSD.
 
@@ -107,15 +107,6 @@ def _form_value(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Fr
         row = rows[i]
         acc += vi * sum((row[j] * vj for j, vj in enumerate(v) if vj), Fraction(0))
     return acc
-
-
-def _star_vector(n: int, i: int) -> dict[int, Fraction]:
-    """Coefficients of the vertex-degree relation at i in the k=1 basis."""
-    v = {0: Fraction(2)}
-    for j in range(1, n + 1):
-        if j != i:
-            v[1 + edge_index(edge(i, j), n)] = Fraction(-1)
-    return v
 
 
 def _check_star_kernel(cf: ClosedFormK1) -> None:
@@ -237,28 +228,12 @@ def _deflate_numerical_kernel(
 def _kernel_vector_verified(
     cf: ClosedFormK1, keep: list[int], w: list[Fraction]
 ) -> bool:
-    """Exact check that M restricted to `keep` annihilates w.
-
-    Fast route: with a common denominator, group the integer numerators of
-    w by entry class per row (the per-class sums stay below 2^53, so the
-    float accumulation is exact) and combine with the ~dozens of class
-    values rationally.  Falls back to plain rational dot products when the
-    numerators are too large or there is no class structure.
-    """
+    """Exact check that M restricted to `keep` annihilates w: w scaled to
+    integers by its common denominator, times the integer numerator matrix
+    of M, must vanish."""
     den = math.lcm(*(x.denominator for x in w))
-    grouped = cf.class_group_sums(keep, [x * den for x in w]) if den <= 10**9 else None
-    if grouped is not None:
-        for row_sums in grouped:
-            val = sum((v * s for v, s in row_sums), Fraction(0))
-            if val != 0:
-                return False
-        return True
-    for i in keep:
-        erow = cf.row(i, keep)
-        val = sum((erow[j] * wj for j, wj in enumerate(w) if wj), Fraction(0))
-        if val != 0:
-            return False
-    return True
+    column = np.array([[int(x * den)] for x in w], dtype=object)
+    return cf.annihilates(column, keep)
 
 
 def membership_pk_enumerated(

@@ -32,7 +32,7 @@ from tsppsd.functionals import (
     make_subtour,
 )
 from tsppsd.linalg import RationalRowReducer, jacobi_eigh
-from tsppsd.moment import ClosedFormK1, closed_form_k1
+from tsppsd.moment import ClosedFormK1, closed_form_k1, degree_relations
 
 JACOBI_DIM_LIMIT = 120
 
@@ -227,14 +227,11 @@ def _coord(n: int, u: int, v: int) -> int:
 
 def star_vectors(n: int) -> list[Vector]:
     """Degree relation 2 - sum of edges at i, one vector per vertex."""
-    out = []
-    for i in range(1, n + 1):
-        v: Vector = {0: Fraction(2)}
-        for j in range(1, n + 1):
-            if j != i:
-                v[_coord(n, i, j)] = Fraction(-1)
-        out.append(v)
-    return out
+    S = degree_relations(n)
+    return [
+        {int(r): Fraction(int(S[r, i])) for r in np.flatnonzero(S[:, i])}
+        for i in range(n)
+    ]
 
 
 def four_cycle_vector(n: int, a: int, b: int, c: int, d: int) -> Vector:

@@ -39,6 +39,7 @@ from tsppsd.functionals import (
 )
 from tsppsd.moment import (
     GroundSet,
+    closed_form_k1,
     expected_trace,
     moment_matrix_closed_form_k1,
     moment_matrix_enumerated_cycles,
@@ -54,6 +55,7 @@ from tsppsd.spectra import (
     ones_spectrum,
     spectrum_matches_numerical,
     sqrt_n_nonpositivity,
+    star_vectors,
     verify_eigenpairs_exact,
 )
 
@@ -170,13 +172,10 @@ def suite_moment(n_max: int = 7, seed: int = 0) -> list[dict]:
             )
     for n in (6, 10, 16):
         f = make_subtour(n, range(1, n // 2 + 1))
-        from tsppsd.moment import closed_form_k1
-        from tsppsd.psd import _star_vector
-
         cf = closed_form_k1(f)
+        stars = star_vectors(n)
         ok = True
-        for i in (1, n):
-            s = _star_vector(n, i)
+        for s in (stars[0], stars[-1]):
             for r in range(cf.dim):
                 if sum((cf.entry(r, c) * x for c, x in s.items()), Fraction(0)) != 0:
                     ok = False

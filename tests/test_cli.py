@@ -96,6 +96,15 @@ def test_membership_psd_and_not(tmp_path, capsys):
     assert all("/" in w for w in data["witness"])
 
 
+def test_membership_n3(tmp_path, capsys):
+    # the only tour of K_3 contains all three edges
+    func = write_spec(tmp_path, {"kind": "ones", "n": 3})
+    code, out = invoke(["membership", "--func", func], capsys)
+    assert code == 0 and json.loads(out)["status"] == "PSD"
+    _, out = invoke(["matrix", "--func", func], capsys)
+    assert json.loads(out)["entries"] == [["1/1"] * 4] * 4
+
+
 def test_membership_float_mode(tmp_path, capsys):
     func = write_spec(tmp_path, SUBTOUR_SPEC)
     code, out = invoke(["membership", "--func", func, "--float"], capsys)

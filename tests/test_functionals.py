@@ -144,14 +144,6 @@ def test_single_edge_average_is_barycenter_value():
     assert average_on_x(f) == Fraction(1, 4)  # 2/(n-1)
 
 
-def test_colors_mark_genuine_invariance():
-    f = make_two_matching(9, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)])
-    assert f.colors is not None
-    # vertices 7,8,9 are interchangeable; F endpoints all distinct
-    assert f.colors[6] == f.colors[7] == f.colors[8]
-    assert len({f.colors[i] for i in range(6)}) == 6
-
-
 def test_json_round_trip():
     spec = {"kind": "subtour", "n": 8, "U": [1, 2, 3]}
     f = functional_from_spec(spec)

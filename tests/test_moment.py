@@ -17,7 +17,6 @@ from tsppsd.functionals import (
 from tsppsd.linalg import exact_ldlt
 from tsppsd.moment import (
     GroundSet,
-    closed_form_entry,
     closed_form_k1,
     containment_probability,
     cycle_ground_set,
@@ -43,7 +42,8 @@ def generators(n):
     gens = [make_ones(n)]
     gens += [make_subtour(n, range(1, m + 1)) for m in range(2, n // 2 + 1)]
     gens.append(make_edge_bound(n, edge(2, 3), "lower"))
-    gens.append(make_edge_bound(n, edge(2, 3), "upper"))
+    if n >= 4:
+        gens.append(make_edge_bound(n, edge(2, 3), "upper"))
     if n >= 7:
         gens.append(
             make_two_matching(n, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)])
@@ -95,7 +95,7 @@ def test_worked_subtour_entry():
 
 
 def test_closed_form_equals_enumeration():
-    for n in (6, 7):
+    for n in (3, 4, 5, 6, 7, 8):
         for f in generators(n):
             closed = moment_matrix_closed_form_k1(f)
             enum = moment_matrix_enumerated_cycles(n, f, 1)
@@ -105,13 +105,15 @@ def test_closed_form_equals_enumeration():
 
 def test_closed_form_equals_enumeration_random_functionals():
     rng = random.Random(7)
-    for n in (6, 7):
+    for n in (3, 4, 5, 6, 7, 8):
         for _ in range(3):
             f = random_functional(n, rng)
-            assert (
-                moment_matrix_closed_form_k1(f).entries
-                == moment_matrix_enumerated_cycles(n, f, 1).entries
-            )
+            # the second copy has numerators beyond int64
+            for g in (f, combine(Fraction(10**19 + 1, 10**19 + 3), f, 0, f)):
+                assert (
+                    moment_matrix_closed_form_k1(g).entries
+                    == moment_matrix_enumerated_cycles(n, g, 1).entries
+                )
 
 
 def test_constant_functional_gives_containment_probabilities():
@@ -119,7 +121,27 @@ def test_constant_functional_gives_containment_probabilities():
     M = moment_matrix_closed_form_k1(f)
     e1, e2 = edge(1, 2), edge(3, 4)
     assert M.entry(coord(6, *e1), coord(6, *e2)) == containment_probability(6, [e1, e2])
-    assert closed_form_entry(f, [e1]) == Fraction(2, 5)
+    assert M.entry(0, coord(6, *e1)) == Fraction(2, 5)
+
+
+def test_closed_form_matches_containment_counts_at_large_n():
+    # entry (I, J) = const * P(B) + sum_e c_e * P(B u {e}) with B = I u J,
+    # counted edge set by edge set; one pair of each kind per round
+    rng = random.Random(17)
+    for n in (40, 60):
+        f = random_functional(n, rng)
+        cf = closed_form_k1(f)
+        for _ in range(3):
+            x, y, z, w = rng.sample(range(1, n + 1), 4)
+            xy, xz, zw = coord(n, x, y), coord(n, x, z), coord(n, z, w)
+            for i, j in ((0, 0), (0, xy), (xy, xy), (xy, xz), (xy, zw)):
+                base = {cf.edges[k - 1] for k in (i, j) if k}
+                want = f.constant * containment_probability(n, base) + sum(
+                    (c * containment_probability(n, base | {e})
+                     for e, c in f.coeff.items()),
+                    Fraction(0),
+                )
+                assert cf.entry(i, j) == cf.entry(j, i) == want, (n, i, j)
 
 
 def test_trace_identity():

@@ -10,6 +10,8 @@ from tsppsd.functionals import (
     FacetSpec,
     average_on_x,
     combine,
+    functional_from_spec,
+    functional_to_spec,
     make_edge_bound,
     make_ones,
     make_subtour,
@@ -138,6 +140,15 @@ def test_membership_ones_and_facets():
     assert membership_p1(
         make_two_matching(9, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)])
     ).is_psd
+
+
+def test_membership_of_explicit_facets_at_n60():
+    # the explicit spec carries only the constant and the coefficients
+    n = 60
+    F = [edge(1, 31), edge(2, 32), edge(3, 33)]
+    for f in (make_subtour(n, range(1, 16)), make_two_matching(n, range(1, 6), F)):
+        g = functional_from_spec(functional_to_spec(f))
+        assert membership_p1(g).status == "PSD"
 
 
 def test_membership_requires_average_one():
@@ -276,6 +287,9 @@ def test_facet_mix_inside_q_stays_psd_k1():
             acc = random_facet_mix(n, rng)
             assert average_on_x(acc) == 1
             assert membership_p1(acc).is_psd
+        # numerators beyond int64 and a scale beyond 2^53
+        a = Fraction(10**19 + 1, 10**19 + 3)
+        assert membership_p1(combine(a, acc, 1 - a, make_ones(n))).is_psd
 
 
 def test_facet_mix_inside_q_stays_psd_k2():
