@@ -2,7 +2,8 @@
 
 Subcommands: cycles, matrix, membership, certify, spectrum, bounds, verify.
 Exit codes: 0 success/verified, 1 verification failure or NOT_PSD, 2 usage
-error, 3 resource limit.  Exact numbers are emitted as "p/q" strings; float
+error, 3 resource limit, 4 internal error (a failed self-check; never a
+verdict).  Exact numbers are emitted as "p/q" strings; float
 results carry the tolerance used.  Identical arguments and seed produce
 byte-identical output files (timings go to stderr, never into reports).
 """
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -410,6 +413,10 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

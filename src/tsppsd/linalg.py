@@ -2,12 +2,15 @@
 
 Three engines:
 
-* `exact_ldlt`: symmetric LDL^T elimination over the rationals with full
-  diagonal pivoting and rank detection.  Semidefinite inputs are the normal
-  case here (every tour moment matrix has the vertex-degree relations in its
+* `exact_ldlt`: symmetric fraction-free Bareiss elimination (Bareiss 1968,
+  Math. Comp. 22) on Python integers, with full diagonal pivoting and rank
+  detection.  Denominators are cleared once; after that every step divides
+  exactly by the previous pivot, so entries stay minors of the input and no
+  rational arithmetic is needed.  Semidefinite inputs are the normal case
+  here (every tour moment matrix has the vertex-degree relations in its
   kernel), so a zero pivot is not an error: the matrix is PSD iff every
   pivot is positive and the block left after the last positive pivot is
-  identically zero.  Indefiniteness yields an exact rational witness vector.
+  identically zero.  Indefiniteness yields an exact integer witness vector.
 
 * `certified_pd`: a rigorous floating-point positive-definiteness proof.
   If floating Cholesky succeeds on A - shift*I, the standard backward-error
@@ -29,44 +32,53 @@ from typing import Sequence
 
 import numpy as np
 
-Rows = list[list[Fraction]]
+Rows = Sequence[Sequence[Fraction | int]]
 
 
 @dataclass
 class LdltResult:
     is_psd: bool
     rank: int
-    pivots: list[Fraction]
-    witness: list[Fraction] | None  # exact v with v^T M v < 0 when not PSD
+    witness: list[int] | None  # exact v with v^T M v < 0 when not PSD
 
 
-def _witness_value(M: Rows, v: Sequence[Fraction]) -> Fraction:
-    Mv = [sum((M[i][j] * v[j] for j in range(len(v)) if v[j]), Fraction(0))
-          for i in range(len(v))]
-    return sum((v[i] * Mv[i] for i in range(len(v)) if v[i]), Fraction(0))
+def _witness_value(M: Rows, v: Sequence[Fraction | int]) -> Fraction | int:
+    """Exact v^T M v; zero entries of v are skipped."""
+    support = [j for j, x in enumerate(v) if x]
+    return sum((v[i] * sum(M[i][j] * v[j] for j in support) for i in support), 0)
 
 
 def exact_ldlt(matrix: Rows) -> LdltResult:
     """Decide positive semidefiniteness of a symmetric rational matrix."""
     d = len(matrix)
-    A = [row[:] for row in matrix]
+    den = math.lcm(*{x.denominator for row in matrix for x in row})
+    # a positive scale changes neither the verdict nor the witnesses
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    A = [row[:] for row in ints]
     active = list(range(d))
+    # After eliminating the pivots S, A[i][j] is the minor det A[S+i, S+j] of
+    # the input and `prev` is det A[S, S] > 0: the Schur complement is
+    # A / prev, so signs and pivot order match rational LDL^T, and witnesses
+    # agree with it up to a positive factor.
+    prev = 1
     # elimination trail: (pivot index, pivot value, column {j: A[j][p]})
-    trail: list[tuple[int, Fraction, dict[int, Fraction]]] = []
-    pivots: list[Fraction] = []
+    trail: list[tuple[int, int, dict[int, int]]] = []
 
-    def pull_back(w: dict[int, Fraction]) -> list[Fraction]:
+    def pull_back(w: dict[int, int]) -> list[int]:
+        # x[p] = -(col . x) / piv, kept integral by scaling x by piv > 0
         x = dict(w)
         for p, piv, col in reversed(trail):
-            s = sum((col[j] * x[j] for j in x if j in col), Fraction(0))
+            s = sum(col[j] * xj for j, xj in x.items() if j in col)
             if s:
-                x[p] = x.get(p, Fraction(0)) - s / piv
-        v = [Fraction(0)] * d
+                x = {j: xj * piv for j, xj in x.items()}
+                x[p] = -s
+                g = math.gcd(*x.values())
+                x = {j: xj // g for j, xj in x.items()}
+        v = [0] * d
         for j, val in x.items():
             v[j] = val
-        value = _witness_value(matrix, v)
-        if value >= 0:
-            raise RuntimeError("internal error: witness does not certify")
+        if _witness_value(ints, v) >= 0:
+            raise RuntimeError("witness does not certify")
         return v
 
     while active:
@@ -74,38 +86,36 @@ def exact_ldlt(matrix: Rows) -> LdltResult:
         piv = A[p][p]
         if piv > 0:
             active.pop(p_pos)
-            col = {j: A[j][p] for j in active if A[j][p]}
-            trail.append((p, piv, col))
-            pivots.append(piv)
-            inv = 1 / piv
-            items = list(col.items())
-            for a_pos, (i, vi) in enumerate(items):
-                fac = vi * inv
+            Ap = A[p]
+            trail.append((p, piv, {j: Ap[j] for j in active if Ap[j]}))
+            for i_pos, i in enumerate(active):
                 Ai = A[i]
-                for j, vj in items[a_pos:]:
-                    Ai[j] -= fac * vj
-                    A[j][i] = Ai[j]
-                Ai[p] = Fraction(0)
-                A[p][i] = Fraction(0)
+                a = Ai[p]
+                for j in active[i_pos:]:
+                    q, r = divmod(piv * Ai[j] - a * Ap[j], prev)
+                    if r:
+                        raise RuntimeError("inexact Bareiss division")
+                    Ai[j] = A[j][i] = q
+            prev = piv
             continue
         if piv < 0:
-            return LdltResult(False, len(pivots), pivots, pull_back({p: Fraction(1)}))
+            return LdltResult(False, len(trail), pull_back({p: 1}))
         # all remaining diagonals are <= 0 and the max is 0: PSD iff the
         # whole remaining block vanishes
         for i in active:
             Ai = A[i]
             for j in active:
                 if Ai[j]:
-                    if A[i][i] < 0:
-                        w = {i: Fraction(1)}
+                    if Ai[i] < 0:
+                        w = {i: 1}
                     elif A[j][j] < 0:
-                        w = {j: Fraction(1)}
+                        w = {j: 1}
                     else:
                         # A[i][i] = A[j][j] = 0, A[i][j] != 0
-                        w = {i: Fraction(-1, 2) / Ai[j], j: Fraction(1)}
-                    return LdltResult(False, len(pivots), pivots, pull_back(w))
-        return LdltResult(True, len(pivots), pivots, None)
-    return LdltResult(True, len(pivots), pivots, None)
+                        w = {i: -1, j: 1 if Ai[j] > 0 else -1}
+                    return LdltResult(False, len(trail), pull_back(w))
+        break
+    return LdltResult(True, len(trail), None)
 
 
 def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:
@@ -119,15 +129,18 @@ def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:
     if r == 0:
         return True
     eps = float(np.finfo(np.float64).eps)  # 2^-52
-    norm = float(np.max(np.sum(np.abs(A), axis=1)))
+    B = np.abs(A, dtype=np.float64)  # the one work array besides the factor
+    norm = float(np.max(B.sum(axis=1)))
     # ||dA||_2 <= r * entry_error_bound for the conversion, and the Cholesky
     # backward error is within c*(r+1)*eps*||A||; factor 8 absorbs blocked
     # LAPACK constants and the rounding of the shift subtraction itself.
     margin = 8.0 * (r + 1) * eps * max(norm, 1.0)
     conversion = r * entry_error_bound
     shift = margin + conversion
+    np.copyto(B, A)
+    B.flat[:: r + 1] -= shift  # bitwise A - shift * I
     try:
-        np.linalg.cholesky(A - shift * np.eye(r))
+        np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -441,14 +441,25 @@ class ClosedFormK1:
         up = math.nextafter(float(worst), math.inf)
         return up if Fraction(up) >= worst else math.nextafter(up, math.inf)
 
+    def _product(self, X: np.ndarray, keep: Sequence[int] | None) -> np.ndarray:
+        """Exact N[keep, keep] @ X for an integer matrix X: float64 BLAS while
+        every partial sum is an integer below 2^53, int64 below 2^63, Python
+        ints beyond."""
+        N = self._numerators(keep)
+        bound = self._max_abs * int(np.abs(X).sum(axis=0).max())
+        dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
+        return N.astype(dt) @ X.astype(dt)
+
     def annihilates(self, X: np.ndarray, keep: Sequence[int] | None = None) -> bool:
         """Exact test that M, restricted to `keep`, maps every column of the
         integer matrix X to zero."""
-        N = self._numerators(keep)
-        bound = self._max_abs * int(np.abs(X).sum(axis=0).max())
-        # float64 sums of integers are exact while every partial sum is below 2^53
-        dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
-        return not np.any(N.astype(dt) @ X.astype(dt))
+        return not np.any(self._product(X, keep))
+
+    def quadratic_form(self, v: Sequence[int], keep: Sequence[int] | None = None) -> Fraction:
+        """Exact v^T M v for an integer vector v, M restricted to `keep`."""
+        x = np.array(v, dtype=object)
+        Nv = self._product(x[:, None], keep)[:, 0].tolist()
+        return Fraction(sum(int(a) * b for a, b in zip(Nv, v)), self.scale)
 
     def star_kernel_verified(self) -> bool:
         """Exact check that every vertex-degree relation annihilates the

@@ -10,13 +10,19 @@ moment matrix.  The decision pipeline, fastest first:
 3. try a rigorous floating-point Cholesky certificate of definiteness;
 4. if the reduced matrix is numerically singular, deflate exact kernel
    vectors reconstructed from the numerical nullspace (each one re-verified
-   in exact integer arithmetic before use) and retry;
-5. fall back to exact rational LDL^T, which is always conclusive and
-   produces an exact witness when the answer is NOT_PSD.
+   in exact integer arithmetic before use) and retry; if it is clearly
+   indefinite, round the LAPACK eigenvector of the smallest eigenvalue to
+   an integer vector and keep it as the witness when v^T M v < 0 holds
+   exactly on the integer numerators of M;
+5. fall back to fraction-free Bareiss elimination on those integer
+   numerators, which is always conclusive and produces an exact witness
+   when the answer is NOT_PSD.
 
-Every PSD verdict is therefore backed by either a rational decomposition or
-a rigorous floating-point proof; every NOT_PSD verdict carries an exact
-rational witness vector.
+Every PSD verdict is therefore backed by either an exact elimination or a
+rigorous floating-point proof; every NOT_PSD verdict carries an exact
+integer witness vector.  Verdicts do not depend on the machine.  A witness
+from step 4 comes from LAPACK, so the vector itself is deterministic per
+machine only.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, LinearFunctional, average_on_x
-from tsppsd.linalg import certified_pd, exact_ldlt, jacobi_eigh
+from tsppsd.linalg import _witness_value, certified_pd, exact_ldlt, jacobi_eigh
 from tsppsd.moment import (
     ClosedFormK1,
     DEFAULT_BASIS_CAP,
@@ -56,7 +62,7 @@ JACOBI_DIM_LIMIT = 400
 @dataclass(frozen=True)
 class PsdVerdict:
     status: str  # "PSD" | "NOT_PSD"
-    witness: tuple[Fraction, ...] | None = None
+    witness: tuple[int, ...] | None = None
     min_eigenvalue_estimate: float | None = None
     method: str = "exact-ldlt"
 
@@ -66,7 +72,7 @@ class PsdVerdict:
 
 
 def is_psd_exact(M: MomentMatrix) -> PsdVerdict:
-    """Exact decision by pivoted rational LDL^T with rank detection."""
+    """Exact decision by fraction-free Bareiss elimination."""
     res = exact_ldlt(M.entries)
     if res.is_psd:
         return PsdVerdict("PSD", method="exact-ldlt")
@@ -89,24 +95,20 @@ def is_psd_float(M: MomentMatrix, tol: float = 1e-10) -> PsdVerdict:
     scale = max(1.0, float(np.max(np.sum(np.abs(A), axis=1)))) if A.size else 1.0
     if lam >= -tol * scale:
         return PsdVerdict("PSD", min_eigenvalue_estimate=lam, method="float-jacobi")
-    v = [Fraction(float(x)) for x in vecs[:, 0]]
-    witness = v if _form_value(M.entries, v) < 0 else None
+    v = _integer_direction(vecs[:, 0])
     return PsdVerdict(
         "NOT_PSD",
-        witness=tuple(witness) if witness else None,
+        witness=tuple(v) if _witness_value(M.entries, v) < 0 else None,
         min_eigenvalue_estimate=lam,
         method="float-jacobi",
     )
 
 
-def _form_value(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for i, vi in enumerate(v):
-        if not vi:
-            continue
-        row = rows[i]
-        acc += vi * sum((row[j] * vj for j, vj in enumerate(v) if vj), Fraction(0))
-    return acc
+def _integer_direction(x: np.ndarray) -> list[int]:
+    """x scaled so that its first largest-magnitude entry is 2^20, rounded
+    to integers; dividing by that entry fixes the sign."""
+    peak = x[int(np.argmax(np.abs(x)))]
+    return np.rint(x / peak * 2**20).astype(np.int64).tolist()
 
 
 def _check_star_kernel(cf: ClosedFormK1) -> None:
@@ -140,7 +142,7 @@ def membership_p1(
     keep = [i for i in range(cf.dim) if i not in dropped and i not in zero]
     verdict = _decide_reduced(cf, keep)
     if verdict.witness is not None:
-        full = [Fraction(0)] * cf.dim
+        full = [0] * cf.dim
         for pos, i in enumerate(keep):
             full[i] = verdict.witness[pos]
         verdict = PsdVerdict(
@@ -173,8 +175,17 @@ def _decide_reduced(cf: ClosedFormK1, keep: list[int]) -> PsdVerdict:
                     min_eigenvalue_estimate=lam_min,
                     method="certified-cholesky+deflation",
                 )
-    # conclusive rational path
-    res = exact_ldlt(cf.exact_entries(keep))
+    else:
+        v = _integer_direction(vecs[:, 0])
+        if cf.quadratic_form(v, keep) < 0:
+            return PsdVerdict(
+                "NOT_PSD",
+                witness=tuple(v),
+                min_eigenvalue_estimate=lam_min,
+                method="eigenvector-witness",
+            )
+    # conclusive exact path on the integer numerators N = scale * M
+    res = exact_ldlt(cf._numerators(keep).tolist())
     if res.is_psd:
         return PsdVerdict(
             "PSD", min_eigenvalue_estimate=lam_min, method="exact-ldlt"

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import tsppsd
+from tsppsd import cli
 from tsppsd.cli import run
 
 SUBTOUR_SPEC = {"kind": "subtour", "n": 8, "U": [1, 2, 3]}
@@ -47,7 +49,10 @@ def test_cycles_resource_limit_exit_code(capsys):
 
 
 def test_env_cap_override(tmp_path):
-    env = dict(os.environ, TSPPSD_MAX_CYCLES="13")
+    # the child process imports the same tsppsd as this test, installed or not
+    src = os.path.dirname(os.path.dirname(tsppsd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TSPPSD_MAX_CYCLES="13", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "tsppsd.cli", "cycles", "--n", "13", "--count-only"],
         capture_output=True,
@@ -103,6 +108,19 @@ def test_membership_n3(tmp_path, capsys):
     assert code == 0 and json.loads(out)["status"] == "PSD"
     _, out = invoke(["matrix", "--func", func], capsys)
     assert json.loads(out)["entries"] == [["1/1"] * 4] * 4
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a failed self-check must not read as a NOT_PSD verdict (exit 1)
+    def tripwire(*args, **kwargs):
+        raise RuntimeError("degree relations not in matrix kernel")
+
+    monkeypatch.setattr(cli, "membership_p1", tripwire)
+    func = write_spec(tmp_path, SUBTOUR_SPEC)
+    assert run(["membership", "--func", func]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "degree relations not in matrix kernel" in err
 
 
 def test_membership_float_mode(tmp_path, capsys):

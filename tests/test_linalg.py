@@ -37,14 +37,23 @@ def random_unimodular(d, rng):
     return L
 
 
+def scaled(rows):
+    # numerators beyond int64 once the denominators are cleared
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    return [[a * x for x in row] for row in rows]
+
+
 def test_witness_found_behind_several_pivots():
     rng = random.Random(12)
+    cases = []
     for trial in range(10):
         d = 6
         L = random_unimodular(d, rng)
         diag = [Fraction(1)] * d
         diag[rng.randrange(d)] = Fraction(-1, 3)
-        rows = conjugate(diag, L)
+        cases.append(conjugate(diag, L))
+    cases.append(scaled(cases[0]))
+    for rows in cases:
         res = exact_ldlt(rows)
         assert not res.is_psd
         assert form_value(rows, res.witness) < 0
@@ -56,8 +65,9 @@ def test_psd_with_rank_deficiency():
     L = random_unimodular(d, rng)
     diag = [Fraction(2), Fraction(1), Fraction(0), Fraction(0), Fraction(3), Fraction(0)]
     rows = conjugate(diag, L)
-    res = exact_ldlt(rows)
-    assert res.is_psd and res.rank == 3
+    for case in (rows, scaled(rows)):
+        res = exact_ldlt(case)
+        assert res.is_psd and res.rank == 3
 
 
 def test_zero_matrix_is_psd():

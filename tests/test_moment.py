@@ -189,6 +189,27 @@ def test_star_kernel_all_n_up_to_40():
             assert closed_form_k1(f).star_kernel_verified(), n
 
 
+def test_closed_form_quadratic_form_is_exact():
+    # vector sizes and a functional with numerators beyond int64 reach each
+    # of the float64, int64 and Python-int products
+    rng = random.Random(8)
+    f = random_functional(7, rng)
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    for g in (f, combine(a, f, 1 - a, make_ones(7))):
+        cf = closed_form_k1(g)
+        keep = sorted(rng.sample(range(cf.dim), 15))
+        rows = cf.exact_entries(keep)
+        for size in (1, 2**20, 2**40):
+            v = [rng.randint(-size, size) for _ in keep]
+            want = sum(v[i] * rows[i][j] * v[j] for i in range(15) for j in range(15))
+            assert cf.quadratic_form(v, keep) == want
+        v = [rng.randint(-9, 9) for _ in range(cf.dim)]
+        rows = cf.exact_entries()
+        assert cf.quadratic_form(v) == sum(
+            v[i] * rows[i][j] * v[j] for i in range(cf.dim) for j in range(cf.dim)
+        )
+
+
 def test_quadratic_form_values():
     n = 6
     f = make_edge_bound(n, edge(1, 2), "upper")

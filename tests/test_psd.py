@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from tsppsd.moment import (
     MomentMatrix,
     closed_form_k1,
     moment_matrix_closed_form_k1,
+    moment_matrix_enumerated_cycles,
 )
 from tsppsd.psd import (
     boundary_certificate,
@@ -43,10 +45,17 @@ def as_matrix(rows):
 
 
 def form_value(rows, v):
-    return sum(
-        v[i] * sum(rows[i][j] * v[j] for j in range(len(v)))
-        for i in range(len(v))
-    )
+    # exact v^T M v over one common denominator, so that the matrices at
+    # n = 60 need no Fraction sums
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    support = [j for j, x in enumerate(v) if x]
+    total = 0
+    for i in support:
+        row = rows[i]
+        total += v[i] * sum(
+            row[j].numerator * (den // row[j].denominator) * v[j] for j in support
+        )
+    return Fraction(total, den)
 
 
 def test_exact_ldlt_basic():
@@ -170,6 +179,40 @@ def test_membership_rejects_beyond_dual_body():
         assert form_value(rows, list(verdict.witness)) < 0
 
 
+def test_membership_rejects_sqrt_n_mixes_at_scale():
+    # a * h_U + (1 - a) * ones with a above sqrt(n) leaves P_1; the rounded
+    # eigenvector certifies it without exact elimination
+    for n, m in ((24, 5), (40, 10), (60, 15)):
+        a = math.isqrt(n) + 1
+        f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+        verdict = membership_p1(f)
+        assert verdict.status == "NOT_PSD"
+        assert verdict.method == "eigenvector-witness"
+        rows = moment_matrix_closed_form_k1(f).entries
+        assert form_value(rows, verdict.witness) < 0
+
+
+def test_exact_fallback_when_eigenvector_witness_fails(monkeypatch):
+    n, m = 10, 3
+    a = math.isqrt(n) + 1
+    f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+    eigh = np.linalg.eigh
+
+    def top_vector_first(A):
+        # the eigenvector of the largest eigenvalue cannot certify v^T M v < 0
+        evals, vecs = eigh(A)
+        vecs = vecs.copy()
+        vecs[:, 0] = vecs[:, -1]
+        return evals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", top_vector_first)
+    verdict = membership_p1(f)
+    assert verdict.status == "NOT_PSD"
+    assert verdict.method == "exact-ldlt"
+    rows = moment_matrix_closed_form_k1(f).entries
+    assert form_value(rows, verdict.witness) < 0
+
+
 def test_membership_rejection_matches_residual_eigenvalue_sign():
     n, m = 9, 4
     pair = residual_pair(n, m, Fraction(n + 1))
@@ -183,7 +226,10 @@ def test_membership_k2_mirrors_k1():
         assert membership_pk_enumerated(make_ones(n), 2).is_psd
         assert membership_pk_enumerated(make_subtour(n, {1, 2, 3}), 2).is_psd
         f = combine(n, make_subtour(n, {1, 2, 3}), 1 - n, make_ones(n))
-        assert not membership_pk_enumerated(f, 2).is_psd
+        verdict = membership_pk_enumerated(f, 2)
+        assert not verdict.is_psd
+        rows = moment_matrix_enumerated_cycles(n, f, 2).entries
+        assert form_value(rows, verdict.witness) < 0
 
 
 def test_rejected_at_k1_rejected_at_k2():
