@@ -34,6 +34,7 @@ from tsppsd.moment import (
     moment_matrix_enumerated_cycles,
 )
 from tsppsd.psd import (
+    FLOAT_TOLERANCE,
     boundary_certificate,
     is_psd_float,
     membership_p1,
@@ -153,7 +154,7 @@ def cmd_membership(cfg: RunConfig) -> int:
             "status": verdict.status,
             "method": verdict.method,
             "min_eigenvalue_estimate": verdict.min_eigenvalue_estimate,
-            "tolerance": 1e-10,
+            "tolerance": FLOAT_TOLERANCE,
         }
     else:
         verdict = (

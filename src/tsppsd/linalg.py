@@ -1,6 +1,6 @@
 """Exact and certified linear algebra for symmetric rational matrices.
 
-Three engines:
+Two engines:
 
 * `exact_ldlt`: symmetric fraction-free Bareiss elimination (Bareiss 1968,
   Math. Comp. 22) on Python integers, with full diagonal pivoting and rank
@@ -19,8 +19,8 @@ Three engines:
   conversion error) makes success a proof that the exact matrix is PD.
   Failure proves nothing and callers fall back to `exact_ldlt`.
 
-* `jacobi_eigh`: deterministic cyclic-sweep Jacobi eigendecomposition used
-  for tolerance-based float verdicts and small spectral cross-checks.
+Floating-point eigenvalues, where a caller needs them, come from LAPACK
+(`np.linalg.eigh` / `eigvalsh`).
 """
 
 from __future__ import annotations
@@ -144,59 +144,6 @@ def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def jacobi_eigh(
-    A: np.ndarray,
-    tol: float = 1e-13,
-    max_sweeps: int = 30,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic-by-rows Jacobi eigendecomposition of a symmetric matrix.
-
-    Deterministic sweep order; returns (eigenvalues ascending, eigenvectors
-    as columns).  Row/column rotations are vectorized.
-    """
-    n = A.shape[0]
-    M = A.astype(float).copy()
-    V = np.eye(n)
-    if n <= 1:
-        return np.diag(M).copy(), V
-    scale = max(1.0, float(np.max(np.abs(M))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(M * M) - np.sum(np.diag(M) ** 2))))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                diff = M[q, q] - M[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    phi = diff / (2.0 * apq)
-                    t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = M[p, :].copy()
-                rq = M[q, :].copy()
-                M[p, :] = c * rp - s * rq
-                M[q, :] = s * rp + c * rq
-                cp = M[:, p].copy()
-                cq = M[:, q].copy()
-                M[:, p] = c * cp - s * cq
-                M[:, q] = s * cp + c * cq
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = s * vp + c * V[:, q]
-    evals = np.diag(M).copy()
-    order = np.argsort(evals, kind="stable")
-    return evals[order], V[:, order]
 
 
 class RationalRowReducer:

@@ -149,37 +149,20 @@ def moment_matrix_enumerated(
     if len(values) != len(ground.points):
         raise ValueError("need one value per ground-set point")
     basis = monomial_basis(ground.dimension, k, basis_cap)
-    index = {m: i for i, m in enumerate(basis)}
-    d = len(basis)
+    labels = tuple(monomial_label(m, ground) for m in basis)
     vals = [Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-    ints = [int(v * den) for v in vals]
-    num = [[0] * d for _ in range(d)]
     if ground.is_zero_one:
-        # mono_I(x) = 1 iff every coordinate of I is 1 on x; repetition collapses.
-        for pt, fv in zip(ground.points, ints):
-            if fv == 0:
-                continue
-            support = [c for c, x in enumerate(pt) if x]
-            live = [0]
-            for deg in range(1, k + 1):
-                live.extend(
-                    index[m]
-                    for m in itertools.combinations_with_replacement(support, deg)
-                )
-            for a_pos, ia in enumerate(live):
-                row = num[ia]
-                for ib in live[a_pos:]:
-                    row[ib] += fv
-        scale = Fraction(1, den * len(ground.points))
-        entries = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                entries[i][j] = entries[j][i] = num[i][j] * scale
-        return MomentMatrix(
-            k, tuple(basis), tuple(monomial_label(m, ground) for m in basis), entries
+        den = math.lcm(*(v.denominator for v in vals)) if vals else 1
+        weighted = (
+            ([c for c, x in enumerate(pt) if x], int(v * den))
+            for pt, v in zip(ground.points, vals)
         )
+        entries = _zero_one_entries(
+            basis, k, weighted, Fraction(1, den * len(ground.points))
+        )
+        return MomentMatrix(k, tuple(basis), labels, entries)
     # general rational points
+    d = len(basis)
     entries = [[Fraction(0)] * d for _ in range(d)]
     for pt, fv in zip(ground.points, vals):
         if fv == 0:
@@ -199,9 +182,39 @@ def moment_matrix_enumerated(
         for j in range(i, d):
             entries[i][j] = entries[i][j] / npts
             entries[j][i] = entries[i][j]
-    return MomentMatrix(
-        k, tuple(basis), tuple(monomial_label(m, ground) for m in basis), entries
-    )
+    return MomentMatrix(k, tuple(basis), labels, entries)
+
+
+def _zero_one_entries(
+    basis: Sequence[Monomial],
+    k: int,
+    weighted: Iterable[tuple[Sequence[int], int]],
+    scale: Fraction,
+) -> list[list[Fraction]]:
+    """Entry (I, J) = scale * sum fv mono_I(x) mono_J(x) over zero-one points
+    x, each given by its sorted support and its integer value fv.  Sums are
+    kept in integers over the upper triangle and scaled once at the end."""
+    index = {m: i for i, m in enumerate(basis)}
+    d = len(basis)
+    num = [[0] * d for _ in range(d)]
+    for support, fv in weighted:
+        if fv == 0:
+            continue
+        # mono_I(x) = 1 iff every coordinate of I is 1 on x; repetition collapses.
+        live = [0]
+        for deg in range(1, k + 1):
+            live.extend(
+                index[m] for m in itertools.combinations_with_replacement(support, deg)
+            )
+        for a_pos, ia in enumerate(live):
+            row = num[ia]
+            for ib in live[a_pos:]:
+                row[ib] += fv
+    entries = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            entries[i][j] = entries[j][i] = num[i][j] * scale
+    return entries
 
 
 def _mono_value(mono: Monomial, point: Sequence[Fraction]) -> Fraction:
@@ -227,34 +240,20 @@ def moment_matrix_enumerated_cycles(
     edges = all_edges(n)
     dim = len(edges)
     basis = monomial_basis(dim, k, basis_cap)
-    index = {m: i for i, m in enumerate(basis)}
-    d = len(basis)
     den = math.lcm(
         f.constant.denominator, *(c.denominator for c in f.coeff.values())
     ) if f.coeff else f.constant.denominator
     const_i = int(f.constant * den)
     coeff_i = {e: int(c * den) for e, c in f.coeff.items()}
-    num = [[0] * d for _ in range(d)]
     eidx = {e: i for i, e in enumerate(edges)}
-    for cyc in cycles:
-        fv = const_i + sum(coeff_i.get(e, 0) for e in cyc.edges)
-        if fv == 0:
-            continue
-        support = sorted(eidx[e] for e in cyc.edges)
-        live = [0]
-        for deg in range(1, k + 1):
-            live.extend(
-                index[m] for m in itertools.combinations_with_replacement(support, deg)
-            )
-        for a_pos, ia in enumerate(live):
-            row = num[ia]
-            for ib in live[a_pos:]:
-                row[ib] += fv
-    scale = Fraction(1, den * len(cycles))
-    entries = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            entries[i][j] = entries[j][i] = num[i][j] * scale
+    weighted = (
+        (
+            sorted(eidx[e] for e in cyc.edges),
+            const_i + sum(coeff_i.get(e, 0) for e in cyc.edges),
+        )
+        for cyc in cycles
+    )
+    entries = _zero_one_entries(basis, k, weighted, Fraction(1, den * len(cycles)))
     enames = [f"{e.u}-{e.v}" for e in edges]
     labels = tuple(_edge_monomial_label(m, enames) for m in basis)
     return MomentMatrix(k, tuple(basis), labels, entries, n=n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from tsppsd.cycles import Edge, HamiltonianCycle, all_edges, edge_index
+from tsppsd.cycles import Edge, all_edges, edge_index
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class CertificatePolynomial:
             if val == 0:
                 return Fraction(0)
         return val
-
-    def evaluate_cycle(self, cycle: HamiltonianCycle) -> int:
-        n = cycle.n
-        coords = frozenset(edge_index(e, n) for e in cycle.edges)
-        for c, complemented in self.factors:
-            if (c in coords) == complemented:
-                return 0
-        return 1
 
     def factor_edges(self, n: int) -> tuple[tuple[Edge, bool], ...]:
         universe = all_edges(n)

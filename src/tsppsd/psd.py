@@ -42,7 +42,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, LinearFunctional, average_on_x
-from tsppsd.linalg import _witness_value, certified_pd, exact_ldlt, jacobi_eigh
+from tsppsd.linalg import _witness_value, certified_pd, exact_ldlt
 from tsppsd.moment import (
     ClosedFormK1,
     DEFAULT_BASIS_CAP,
@@ -56,7 +56,7 @@ from tsppsd.moment import (
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
 
 DEFAULT_EXACT_CAP = 60
-JACOBI_DIM_LIMIT = 400
+FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
 
 
 @dataclass(frozen=True)
@@ -79,28 +79,26 @@ def is_psd_exact(M: MomentMatrix) -> PsdVerdict:
     return PsdVerdict("NOT_PSD", witness=tuple(res.witness), method="exact-ldlt")
 
 
-def is_psd_float(M: MomentMatrix, tol: float = 1e-10) -> PsdVerdict:
-    """Tolerance verdict from a deterministic eigendecomposition.
+def is_psd_float(M: MomentMatrix, tol: float = FLOAT_TOLERANCE) -> PsdVerdict:
+    """Tolerance verdict from a LAPACK eigendecomposition.
 
     PSD iff lambda_min >= -tol * max(1, ||M||_inf).  A NOT_PSD verdict
     attaches a witness only when the rounded eigenvector certifies
-    v^T M v < 0 in exact arithmetic.
+    v^T M v < 0 in exact arithmetic.  The estimate and the witness are
+    deterministic per machine only.
     """
     A = M.to_float()
-    if A.shape[0] <= JACOBI_DIM_LIMIT:
-        evals, vecs = jacobi_eigh(A)
-    else:
-        evals, vecs = np.linalg.eigh(A)
+    evals, vecs = np.linalg.eigh(A)
     lam = float(evals[0])
     scale = max(1.0, float(np.max(np.sum(np.abs(A), axis=1)))) if A.size else 1.0
     if lam >= -tol * scale:
-        return PsdVerdict("PSD", min_eigenvalue_estimate=lam, method="float-jacobi")
+        return PsdVerdict("PSD", min_eigenvalue_estimate=lam, method="float-eigh")
     v = _integer_direction(vecs[:, 0])
     return PsdVerdict(
         "NOT_PSD",
         witness=tuple(v) if _witness_value(M.entries, v) < 0 else None,
         min_eigenvalue_estimate=lam,
-        method="float-jacobi",
+        method="float-eigh",
     )
 
 

@@ -31,10 +31,8 @@ from tsppsd.functionals import (
     make_ones,
     make_subtour,
 )
-from tsppsd.linalg import RationalRowReducer, jacobi_eigh
+from tsppsd.linalg import RationalRowReducer
 from tsppsd.moment import ClosedFormK1, closed_form_k1, degree_relations
-
-JACOBI_DIM_LIMIT = 120
 
 FAMILY_LABELS = (
     "degree-relations",
@@ -399,11 +397,7 @@ def numerical_spectrum(n: int, m: int, a_val: float) -> np.ndarray:
     """Eigenvalues of the closed-form matrix a*A_U + (1-a)*A_ones, ascending."""
     AU = closed_form_k1(make_subtour(n, range(1, m + 1))).float_matrix()
     A1 = closed_form_k1(make_ones(n)).float_matrix()
-    M = a_val * AU + (1.0 - a_val) * A1
-    if M.shape[0] <= JACOBI_DIM_LIMIT:
-        evals, _ = jacobi_eigh(M)
-        return evals
-    return np.linalg.eigvalsh(M)
+    return np.linalg.eigvalsh(a_val * AU + (1.0 - a_val) * A1)
 
 
 def spectrum_matches_numerical(n: int, m: int, a, tol: float = 1e-9) -> float:
@@ -442,12 +436,7 @@ def sqrt_n_nonpositivity(n: int, tol: float = 1e-12) -> list[SqrtNCheck]:
         pair = residual_pair(n, m, a_val)
         scale = max(1.0, abs(pair.lambda_plus), abs(pair.lambda_minus))
         AU = closed_form_k1(make_subtour(n, range(1, m + 1))).float_matrix()
-        M = a_val * AU + (1.0 - a_val) * A1
-        if M.shape[0] <= JACOBI_DIM_LIMIT:
-            evals, _ = jacobi_eigh(M)
-        else:
-            evals = np.linalg.eigvalsh(M)
-        lam_num = float(evals[0])
+        lam_num = float(np.linalg.eigvalsh(a_val * AU + (1.0 - a_val) * A1)[0])
         ok = (
             pair.d_nonnegative
             and pair.lambda_minus <= tol * scale
@@ -501,10 +490,7 @@ def ones_spectrum(n: int) -> OnesSpectrumReport:
     trace = sum((cf.entry(i, i) for i in range(d)), zero)
     residual = trace - lam * cyc_reducer.rank
     ok = ok and star_rank == n and cyc_reducer.rank == target and trace == n + 1
-    M = cf.float_matrix()
-    evals = (
-        jacobi_eigh(M)[0] if d <= JACOBI_DIM_LIMIT else np.linalg.eigvalsh(M)
-    )
+    evals = np.linalg.eigvalsh(cf.float_matrix())
     expected = np.sort(
         np.array([0.0] * n + [float(lam)] * target + [float(residual)])
     )

@@ -128,6 +128,7 @@ def test_membership_float_mode(tmp_path, capsys):
     code, out = invoke(["membership", "--func", func, "--float"], capsys)
     data = json.loads(out)
     assert code == 0 and data["status"] == "PSD"
+    assert data["method"] == "float-eigh"
     assert data["tolerance"] == 1e-10
 
 

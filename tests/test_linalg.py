@@ -6,7 +6,6 @@ from tsppsd.linalg import (
     RationalRowReducer,
     certified_pd,
     exact_ldlt,
-    jacobi_eigh,
 )
 
 
@@ -81,24 +80,6 @@ def test_certified_pd_respects_entry_error():
     assert certified_pd(A, entry_error_bound=0.0)
     # a claimed conversion error larger than the smallest eigenvalue kills it
     assert not certified_pd(A, entry_error_bound=1e-5)
-
-
-def test_jacobi_deterministic_and_accurate():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(20, 20))
-    A = A + A.T
-    e1, v1 = jacobi_eigh(A)
-    e2, v2 = jacobi_eigh(A)
-    assert np.array_equal(e1, e2) and np.array_equal(v1, v2)
-    assert np.allclose(e1, np.linalg.eigvalsh(A), atol=1e-9)
-    assert np.allclose(v1 @ np.diag(e1) @ v1.T, A, atol=1e-8)
-
-
-def test_jacobi_trivial_sizes():
-    evals, vecs = jacobi_eigh(np.array([[4.0]]))
-    assert evals[0] == 4.0 and vecs[0, 0] == 1.0
-    evals, _ = jacobi_eigh(np.zeros((3, 3)))
-    assert np.array_equal(evals, np.zeros(3))
 
 
 def test_row_reducer_rank_and_membership():
