@@ -131,8 +131,8 @@ def cmd_matrix(cfg: RunConfig, method: str) -> int:
         M = moment_matrix_enumerated_cycles(f.n, f, cfg.k, cfg.cycle_cap)
     if cfg.fmt == "csv":
         lines = ["basis," + ",".join(M.labels)]
-        for label, row in zip(M.labels, M.entries):
-            lines.append(label + "," + ",".join(format_fraction(x) for x in row))
+        for label, row in zip(M.labels, M.formatted_rows()):
+            lines.append(label + "," + ",".join(row))
         _write(cfg.out, "\n".join(lines))
     else:
         _emit(cfg, M.to_json_dict())

@@ -1,16 +1,18 @@
-"""Exact and certified linear algebra for symmetric rational matrices.
+"""Exact and certified linear algebra for symmetric matrices.
 
 Two engines:
 
 * `exact_ldlt`: symmetric fraction-free Bareiss elimination (Bareiss 1968,
-  Math. Comp. 22) on Python integers, with full diagonal pivoting and rank
-  detection.  Denominators are cleared once; after that every step divides
-  exactly by the previous pivot, so entries stay minors of the input and no
-  rational arithmetic is needed.  Semidefinite inputs are the normal case
-  here (every tour moment matrix has the vertex-degree relations in its
-  kernel), so a zero pivot is not an error: the matrix is PSD iff every
-  pivot is positive and the block left after the last positive pivot is
-  identically zero.  Indefiniteness yields an exact integer witness vector.
+  Math. Comp. 22) on an integer matrix, with full diagonal pivoting and rank
+  detection.  A rational matrix M = N / scale is decided on its integer
+  numerators N, since a positive scale changes neither the verdict nor the
+  witnesses; every step divides exactly by the previous pivot, so entries
+  stay minors of the input and no rational arithmetic is needed.
+  Semidefinite inputs are the normal case here (every tour moment matrix
+  has the vertex-degree relations in its kernel), so a zero pivot is not
+  an error: the matrix is PSD iff every pivot is positive and the block
+  left after the last positive pivot is identically zero.  Indefiniteness
+  yields an exact integer witness vector.
 
 * `certified_pd`: a rigorous floating-point positive-definiteness proof.
   If floating Cholesky succeeds on A - shift*I, the standard backward-error
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-Rows = Sequence[Sequence[Fraction | int]]
+Rows = Sequence[Sequence[int]]
 
 
 @dataclass
@@ -42,19 +44,16 @@ class LdltResult:
     witness: list[int] | None  # exact v with v^T M v < 0 when not PSD
 
 
-def _witness_value(M: Rows, v: Sequence[Fraction | int]) -> Fraction | int:
+def _witness_value(M: Rows, v: Sequence[int]) -> int:
     """Exact v^T M v; zero entries of v are skipped."""
     support = [j for j, x in enumerate(v) if x]
     return sum((v[i] * sum(M[i][j] * v[j] for j in support) for i in support), 0)
 
 
 def exact_ldlt(matrix: Rows) -> LdltResult:
-    """Decide positive semidefiniteness of a symmetric rational matrix."""
+    """Decide positive semidefiniteness of a symmetric integer matrix."""
     d = len(matrix)
-    den = math.lcm(*{x.denominator for row in matrix for x in row})
-    # a positive scale changes neither the verdict nor the witnesses
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
-    A = [row[:] for row in ints]
+    A = [list(row) for row in matrix]
     active = list(range(d))
     # After eliminating the pivots S, A[i][j] is the minor det A[S+i, S+j] of
     # the input and `prev` is det A[S, S] > 0: the Schur complement is
@@ -77,7 +76,7 @@ def exact_ldlt(matrix: Rows) -> LdltResult:
         v = [0] * d
         for j, val in x.items():
             v[j] = val
-        if _witness_value(ints, v) >= 0:
+        if _witness_value(matrix, v) >= 0:
             raise RuntimeError("witness does not certify")
         return v
 

@@ -11,13 +11,21 @@ Two construction routes:
 
 The closed-form builder needs only the edge coefficients, their vertex sums
 and their total: every entry is affine in a few statistics of the edge pair,
-so the whole matrix is one exact integer array over a common denominator,
-built with a few numpy operations at any n.  Matrices are exact; floats
+so it is built with a few numpy operations at any n.
+
+Both routes produce the same representation, `MomentMatrix`: one exact
+integer numerator array N (int64 when every entry fits, Python ints
+otherwise) over one positive integer scale, M = N / scale.  Every consumer
+works on N: the float view is the correctly rounded N / scale, exact
+products, quadratic forms and kernel tests are integer products, exact
+elimination takes N itself, and output formats each distinct numerator
+once.  Fractions appear only in the read-only `entries` view.  Floats
 appear only in eigensolving.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +46,7 @@ from tsppsd.cycles import (
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import LinearFunctional
 from tsppsd.polynomials import CertificatePolynomial
-from tsppsd.rational import format_fraction
+from tsppsd.rational import clear_denominators, format_fraction
 
 DEFAULT_BASIS_CAP = 6000
 
@@ -98,36 +106,166 @@ def monomial_label(mono: Monomial, ground: GroundSet) -> str:
     return _edge_monomial_label(mono, [ground.label(c) for c in range(ground.dimension)])
 
 
-@dataclass
 class MomentMatrix:
-    """Symmetric exact matrix of q_f in the monomial basis (immutable by convention)."""
+    """Symmetric exact matrix M = N / scale of q_f in the monomial basis.
 
-    k: int
-    basis: tuple[Monomial, ...]
-    labels: tuple[str, ...]
-    entries: list[list[Fraction]]
-    n: int | None = None  # vertex count when built over tours of K_n
+    N is an integer array, int64 when every entry fits and Python ints
+    otherwise, and scale is a positive integer; every consumer works on
+    these numerators.  `entries` is a read-only Fraction view for callers
+    that want rationals.  Immutable by convention.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        basis: Sequence[Monomial],
+        labels: Sequence[str],
+        N: np.ndarray,
+        scale: int,
+        n: int | None = None,  # vertex count when built over tours of K_n
+    ):
+        self.k = k
+        self.basis = tuple(basis)
+        self.labels = tuple(labels)
+        self.N = N
+        self.scale = scale
+        self.n = n
+        self._fractions: dict[int, Fraction] = {}
+        self._max_abs = max(int(N.max()), -int(N.min()))
+        # both operands exact in float64, so one correctly rounded division
+        self._float_exact = self._max_abs < 2**53 and scale < 2**53
+
+    @classmethod
+    def from_rows(
+        cls,
+        k: int,
+        basis: Sequence[Monomial],
+        labels: Sequence[str],
+        rows: Sequence[Sequence[Fraction | int]],
+        n: int | None = None,
+    ) -> MomentMatrix:
+        """The matrix of rational rows, denominators cleared once."""
+        nums, den = clear_denominators(rows)
+        return cls(k, basis, labels, _integer_array(nums), den, n)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MomentMatrix):
+            return NotImplemented
+        if (self.k, self.basis, self.labels, self.n) != (
+            other.k, other.basis, other.labels, other.n
+        ):
+            return False
+        # N / scale == N' / scale' iff N * scale' == N' * scale
+        a, b = self.N, other.N
+        if max(self._max_abs, other._max_abs, self.scale, other.scale) ** 2 >= 2**63:
+            a, b = a.astype(object), b.astype(object)
+        return bool(np.array_equal(a * other.scale, b * self.scale))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _exact(self, x: int) -> Fraction:
+        """Exact value of the numerator x; each distinct one is converted
+        once per matrix."""
+        q = self._fractions.get(x)
+        if q is None:
+            q = self._fractions[x] = Fraction(x, self.scale)
+        return q
+
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        return self._exact(self.N.item(i, j))
+
+    def row(self, i: int) -> list[Fraction]:
+        return [self._exact(x) for x in self.N[i].tolist()]
+
+    @functools.cached_property
+    def entries(self) -> list[list[Fraction]]:
+        """Read-only Fraction view of M, built once on first use."""
+        return [self.row(i) for i in range(self.dim)]
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.dim)), Fraction(0))
+        return Fraction(sum(self.N.diagonal().tolist()), self.scale)
+
+    def numerators(self, keep: Sequence[int] | None = None) -> np.ndarray:
+        """N, or its principal submatrix on `keep`."""
+        return self.N if keep is None else self.N[np.ix_(keep, keep)]
+
+    def float_matrix(self, keep: Sequence[int] | None = None) -> np.ndarray:
+        """Correctly rounded float64 entries."""
+        N = self.numerators(keep)
+        if self._float_exact:
+            return N / self.scale
+        # Python int division rounds correctly at any size
+        return (N.astype(object) / self.scale).astype(float)
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
+        """The float view of the whole matrix, `float_matrix()`."""
+        return self.float_matrix()
+
+    def float_entry_error_bound(self) -> float:
+        """Bound on |float_matrix() - M| per entry, rounded outward."""
+        if self._float_exact:
+            # a correctly rounded value is within 2^-53 of it, relatively
+            worst = Fraction(self._max_abs, self.scale * 2**53)
+        else:
+            worst = max(
+                abs(Fraction(x / self.scale) - Fraction(x, self.scale))
+                for x in np.unique(self.N).tolist()
+            )
+        up = math.nextafter(float(worst), math.inf)
+        return up if Fraction(up) >= worst else math.nextafter(up, math.inf)
+
+    def product(self, X: np.ndarray, keep: Sequence[int] | None = None) -> np.ndarray:
+        """Exact N[keep, keep] @ X for an integer matrix X: float64 BLAS while
+        every partial sum is an integer below 2^53, int64 below 2^63, Python
+        ints beyond."""
+        N = self.numerators(keep)
+        bound = self._max_abs * int(np.abs(X).sum(axis=0).max())
+        dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
+        return N.astype(dt) @ X.astype(dt)
+
+    def annihilates(self, X: np.ndarray, keep: Sequence[int] | None = None) -> bool:
+        """Exact test that M, restricted to `keep`, maps every column of the
+        integer matrix X to zero."""
+        return not np.any(self.product(X, keep))
+
+    def quadratic_form(self, v: Sequence[int], keep: Sequence[int] | None = None) -> Fraction:
+        """Exact v^T M v for an integer vector v, M restricted to `keep`."""
+        x = np.array(v, dtype=object)
+        Nv = self.product(x[:, None], keep)[:, 0].tolist()
+        return Fraction(sum(int(a) * b for a, b in zip(Nv, v)), self.scale)
+
+    def zero_rows(self) -> list[int]:
+        """Indices whose entire row is exactly zero."""
+        return np.flatnonzero(~(self.N != 0).any(axis=1)).tolist()
+
+    def formatted_rows(self) -> list[list[str]]:
+        """Entries as "p/q" strings; each distinct numerator is formatted once."""
+        rows = self.N.tolist()
+        text = {
+            x: format_fraction(Fraction(x, self.scale))
+            for x in {x for row in rows for x in row}
+        }
+        return [[text[x] for x in row] for row in rows]
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "k": self.k,
             "basis": list(self.labels),
-            "entries": [[format_fraction(x) for x in row] for row in self.entries],
+            "entries": self.formatted_rows(),
         }
+
+
+def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """int64 array of integer rows when every entry fits, Python ints otherwise."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def trace_of(M: MomentMatrix) -> Fraction:
@@ -157,10 +295,8 @@ def moment_matrix_enumerated(
             ([c for c, x in enumerate(pt) if x], int(v * den))
             for pt, v in zip(ground.points, vals)
         )
-        entries = _zero_one_entries(
-            basis, k, weighted, Fraction(1, den * len(ground.points))
-        )
-        return MomentMatrix(k, tuple(basis), labels, entries)
+        N = _zero_one_entries(basis, k, weighted)
+        return MomentMatrix(k, basis, labels, N, den * len(ground.points))
     # general rational points
     d = len(basis)
     entries = [[Fraction(0)] * d for _ in range(d)]
@@ -182,18 +318,17 @@ def moment_matrix_enumerated(
         for j in range(i, d):
             entries[i][j] = entries[i][j] / npts
             entries[j][i] = entries[i][j]
-    return MomentMatrix(k, tuple(basis), labels, entries)
+    return MomentMatrix.from_rows(k, basis, labels, entries)
 
 
 def _zero_one_entries(
     basis: Sequence[Monomial],
     k: int,
     weighted: Iterable[tuple[Sequence[int], int]],
-    scale: Fraction,
-) -> list[list[Fraction]]:
-    """Entry (I, J) = scale * sum fv mono_I(x) mono_J(x) over zero-one points
-    x, each given by its sorted support and its integer value fv.  Sums are
-    kept in integers over the upper triangle and scaled once at the end."""
+) -> np.ndarray:
+    """Integer matrix with entry (I, J) = sum fv mono_I(x) mono_J(x) over
+    zero-one points x, each given by its sorted support and its integer
+    value fv.  Sums are kept over the upper triangle and mirrored."""
     index = {m: i for i, m in enumerate(basis)}
     d = len(basis)
     num = [[0] * d for _ in range(d)]
@@ -210,11 +345,11 @@ def _zero_one_entries(
             row = num[ia]
             for ib in live[a_pos:]:
                 row[ib] += fv
-    entries = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
-        for j in range(i, d):
-            entries[i][j] = entries[j][i] = num[i][j] * scale
-    return entries
+        row = num[i]
+        for j in range(i + 1, d):
+            num[j][i] = row[j]
+    return _integer_array(num)
 
 
 def _mono_value(mono: Monomial, point: Sequence[Fraction]) -> Fraction:
@@ -253,10 +388,10 @@ def moment_matrix_enumerated_cycles(
         )
         for cyc in cycles
     )
-    entries = _zero_one_entries(basis, k, weighted, Fraction(1, den * len(cycles)))
+    N = _zero_one_entries(basis, k, weighted)
     enames = [f"{e.u}-{e.v}" for e in edges]
     labels = tuple(_edge_monomial_label(m, enames) for m in basis)
-    return MomentMatrix(k, tuple(basis), labels, entries, n=n)
+    return MomentMatrix(k, basis, labels, N, den * len(cycles), n=n)
 
 
 def _edge_monomial_label(mono: Monomial, names: Sequence[str]) -> str:
@@ -309,9 +444,8 @@ def degree_relations(n: int) -> np.ndarray:
 ROW_BLOCK = 256  # rows of N built at once; bounds the size of temporaries
 
 
-class ClosedFormK1:
-    """Degree-1 closed-form moment matrix M = N / scale, N an exact integer
-    matrix.
+class ClosedFormK1(MomentMatrix):
+    """Degree-1 closed-form moment matrix M = N / scale.
 
     Basis order: the constant monomial, then the edges of K_n
     lexicographically.  Entry (a, b) of two edges is
@@ -333,10 +467,10 @@ class ClosedFormK1:
 
     def __init__(self, f: LinearFunctional):
         self.f = f
-        n = self.n = f.n
+        n = f.n
         self.edges = all_edges(n)
         E = len(self.edges)
-        self.dim = 1 + E
+        dim = 1 + E
         den = math.lcm(
             f.constant.denominator, *(c.denominator for c in f.coeff.values())
         )
@@ -358,7 +492,6 @@ class ClosedFormK1:
         ]
         corner = const + total * p1
         R = math.lcm(corner.denominator, *(w.denominator for row in W for w in row))
-        self.scale = den * R
         Wi = [[int(w * R) for w in row] for row in W]
         # every statistic is at most 4 * sum |c_e| in magnitude
         stat = 4 * sum(abs(c) for c in coeff.values())
@@ -378,7 +511,7 @@ class ClosedFormK1:
         t = s[u] + s[v]
         c = C[u, v]
         H = C @ inc.astype(dt)  # H[x, b]: coefficients from x to the ends of b
-        N = np.empty((self.dim, self.dim), dtype=dt)
+        N = np.empty((dim, dim), dtype=dt)
         N[0, 0] = int(corner * R)
         for lo in range(0, E, ROW_BLOCK):
             rows = slice(lo, min(lo + ROW_BLOCK, E))
@@ -391,90 +524,14 @@ class ClosedFormK1:
             block += Wi[adj, 4] * (s[ua, None] * inc[ua] + s[va, None] * inc[va])
             N[1 + lo : 1 + rows.stop, 1:] = block
         N[0, 1:] = N[1:, 0] = N.diagonal()[1:]
-        self._N = N
-        self._fractions: dict[int, Fraction] = {}
-        self._max_abs = max(int(N.max()), -int(N.min()))
-        # both operands exact in float64, so one correctly rounded division
-        self._float_exact = self._max_abs < 2**53 and self.scale < 2**53
-
-    def _exact(self, x: int) -> Fraction:
-        """Exact value of the numerator x; each distinct one is converted
-        once per matrix."""
-        q = self._fractions.get(x)
-        if q is None:
-            q = self._fractions[x] = Fraction(x, self.scale)
-        return q
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._exact(self._N.item(i, j))
-
-    def row(self, i: int, cols: Sequence[int] | None = None) -> list[Fraction]:
-        nums = self._N[i] if cols is None else self._N[i, list(cols)]
-        return [self._exact(x) for x in nums.tolist()]
-
-    def exact_entries(self, keep: Sequence[int] | None = None) -> list[list[Fraction]]:
-        idx = range(self.dim) if keep is None else keep
-        return [self.row(i, keep) for i in idx]
-
-    def _numerators(self, keep: Sequence[int] | None) -> np.ndarray:
-        return self._N if keep is None else self._N[np.ix_(keep, keep)]
-
-    def float_matrix(self, keep: Sequence[int] | None = None) -> np.ndarray:
-        """Correctly rounded float64 entries."""
-        N = self._numerators(keep)
-        if self._float_exact:
-            return N / self.scale
-        # Python int division rounds correctly at any size
-        return (N.astype(object) / self.scale).astype(float)
-
-    def float_entry_error_bound(self) -> float:
-        """Bound on |float_matrix() - M| per entry, rounded outward."""
-        if self._float_exact:
-            # a correctly rounded value is within 2^-53 of it, relatively
-            worst = Fraction(self._max_abs, self.scale * 2**53)
-        else:
-            worst = max(
-                abs(Fraction(x / self.scale) - Fraction(x, self.scale))
-                for x in np.unique(self._N).tolist()
-            )
-        up = math.nextafter(float(worst), math.inf)
-        return up if Fraction(up) >= worst else math.nextafter(up, math.inf)
-
-    def _product(self, X: np.ndarray, keep: Sequence[int] | None) -> np.ndarray:
-        """Exact N[keep, keep] @ X for an integer matrix X: float64 BLAS while
-        every partial sum is an integer below 2^53, int64 below 2^63, Python
-        ints beyond."""
-        N = self._numerators(keep)
-        bound = self._max_abs * int(np.abs(X).sum(axis=0).max())
-        dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
-        return N.astype(dt) @ X.astype(dt)
-
-    def annihilates(self, X: np.ndarray, keep: Sequence[int] | None = None) -> bool:
-        """Exact test that M, restricted to `keep`, maps every column of the
-        integer matrix X to zero."""
-        return not np.any(self._product(X, keep))
-
-    def quadratic_form(self, v: Sequence[int], keep: Sequence[int] | None = None) -> Fraction:
-        """Exact v^T M v for an integer vector v, M restricted to `keep`."""
-        x = np.array(v, dtype=object)
-        Nv = self._product(x[:, None], keep)[:, 0].tolist()
-        return Fraction(sum(int(a) * b for a, b in zip(Nv, v)), self.scale)
+        basis: list[Monomial] = [()] + [(i,) for i in range(E)]
+        labels = ("1",) + tuple(f"{e.u}-{e.v}" for e in self.edges)
+        super().__init__(1, basis, labels, N, den * R, n=n)
 
     def star_kernel_verified(self) -> bool:
         """Exact check that every vertex-degree relation annihilates the
         matrix (2 on the constant coordinate, -1 on each edge at the vertex)."""
         return self.annihilates(degree_relations(self.n))
-
-    def zero_rows(self) -> list[int]:
-        """Indices whose entire row is exactly zero."""
-        return np.flatnonzero(~(self._N != 0).any(axis=1)).tolist()
-
-    def to_moment_matrix(self) -> MomentMatrix:
-        basis: list[Monomial] = [()] + [(c,) for c in range(len(self.edges))]
-        labels = ("1",) + tuple(f"{e.u}-{e.v}" for e in self.edges)
-        return MomentMatrix(
-            1, tuple(basis), labels, self.exact_entries(), n=self.n
-        )
 
 
 def closed_form_k1(f: LinearFunctional) -> ClosedFormK1:
@@ -483,7 +540,7 @@ def closed_form_k1(f: LinearFunctional) -> ClosedFormK1:
 
 def moment_matrix_closed_form_k1(f: LinearFunctional) -> MomentMatrix:
     """Exact degree-1 moment matrix at any n, no enumeration."""
-    return ClosedFormK1(f).to_moment_matrix()
+    return ClosedFormK1(f)
 
 
 def quadratic_form_value(

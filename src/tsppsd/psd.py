@@ -16,7 +16,8 @@ moment matrix.  The decision pipeline, fastest first:
    exactly on the integer numerators of M;
 5. fall back to fraction-free Bareiss elimination on those integer
    numerators, which is always conclusive and produces an exact witness
-   when the answer is NOT_PSD.
+   when the answer is NOT_PSD; above `EXACT_FALLBACK_CAP` reduced
+   coordinates its cost is out of reach and ResourceLimitError is raised.
 
 Every PSD verdict is therefore backed by either an exact elimination or a
 rigorous floating-point proof; every NOT_PSD verdict carries an exact
@@ -42,7 +43,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, LinearFunctional, average_on_x
-from tsppsd.linalg import _witness_value, certified_pd, exact_ldlt
+from tsppsd.linalg import certified_pd, exact_ldlt
 from tsppsd.moment import (
     ClosedFormK1,
     DEFAULT_BASIS_CAP,
@@ -57,6 +58,11 @@ from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_e
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
+# Largest reduced dimension r on which `membership_p1` runs exact Bareiss
+# (r = 190 at n = 21).  Its cost grows about as r^5: on a 2-CPU Xeon
+# r = 171 (n = 20) takes 3.4 s and r = 253 (n = 24) 24 s, and r = 1711
+# (n = 60) would take days.
+EXACT_FALLBACK_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,8 @@ class PsdVerdict:
 
 
 def is_psd_exact(M: MomentMatrix) -> PsdVerdict:
-    """Exact decision by fraction-free Bareiss elimination."""
-    res = exact_ldlt(M.entries)
+    """Exact decision by fraction-free Bareiss elimination on N = scale * M."""
+    res = exact_ldlt(M.numerators().tolist())
     if res.is_psd:
         return PsdVerdict("PSD", method="exact-ldlt")
     return PsdVerdict("NOT_PSD", witness=tuple(res.witness), method="exact-ldlt")
@@ -87,7 +93,7 @@ def is_psd_float(M: MomentMatrix, tol: float = FLOAT_TOLERANCE) -> PsdVerdict:
     v^T M v < 0 in exact arithmetic.  The estimate and the witness are
     deterministic per machine only.
     """
-    A = M.to_float()
+    A = M.to_float()  # correctly rounded, so bitwise float(M[i][j])
     evals, vecs = np.linalg.eigh(A)
     lam = float(evals[0])
     scale = max(1.0, float(np.max(np.sum(np.abs(A), axis=1)))) if A.size else 1.0
@@ -96,7 +102,7 @@ def is_psd_float(M: MomentMatrix, tol: float = FLOAT_TOLERANCE) -> PsdVerdict:
     v = _integer_direction(vecs[:, 0])
     return PsdVerdict(
         "NOT_PSD",
-        witness=tuple(v) if _witness_value(M.entries, v) < 0 else None,
+        witness=tuple(v) if M.quadratic_form(v) < 0 else None,
         min_eigenvalue_estimate=lam,
         method="float-eigh",
     )
@@ -152,7 +158,7 @@ def membership_p1(
     return verdict
 
 
-def _decide_reduced(cf: ClosedFormK1, keep: list[int]) -> PsdVerdict:
+def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:
     if not keep:
         return PsdVerdict("PSD", method="trivial")
     A = cf.float_matrix(keep)
@@ -183,7 +189,12 @@ def _decide_reduced(cf: ClosedFormK1, keep: list[int]) -> PsdVerdict:
                 method="eigenvector-witness",
             )
     # conclusive exact path on the integer numerators N = scale * M
-    res = exact_ldlt(cf._numerators(keep).tolist())
+    if len(keep) > EXACT_FALLBACK_CAP:
+        raise ResourceLimitError(
+            f"exact fallback on a reduced matrix of dimension {len(keep)} "
+            f"exceeds cap {EXACT_FALLBACK_CAP}"
+        )
+    res = exact_ldlt(cf.numerators(keep).tolist())
     if res.is_psd:
         return PsdVerdict(
             "PSD", min_eigenvalue_estimate=lam_min, method="exact-ldlt"
@@ -197,7 +208,7 @@ def _decide_reduced(cf: ClosedFormK1, keep: list[int]) -> PsdVerdict:
 
 
 def _deflate_numerical_kernel(
-    cf: ClosedFormK1,
+    cf: MomentMatrix,
     keep: list[int],
     evals: np.ndarray,
     vecs: np.ndarray,
@@ -235,7 +246,7 @@ def _deflate_numerical_kernel(
 
 
 def _kernel_vector_verified(
-    cf: ClosedFormK1, keep: list[int], w: list[Fraction]
+    cf: MomentMatrix, keep: list[int], w: list[Fraction]
 ) -> bool:
     """Exact check that M restricted to `keep` annihilates w: w scaled to
     integers by its common denominator, times the integer numerator matrix

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 
 def parse_fraction(s: str | int | Fraction) -> Fraction:
@@ -20,3 +22,12 @@ def format_fraction(x: Fraction | int) -> str:
     """Render a rational canonically as "p/q" (denominator always present)."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def clear_denominators(
+    rows: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[list[int]], int]:
+    """Integer rows N and the least positive den with rows = N / den."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den

@@ -32,7 +32,7 @@ from tsppsd.functionals import (
     make_subtour,
 )
 from tsppsd.linalg import RationalRowReducer
-from tsppsd.moment import ClosedFormK1, closed_form_k1, degree_relations
+from tsppsd.moment import MomentMatrix, closed_form_k1, degree_relations
 
 FAMILY_LABELS = (
     "degree-relations",
@@ -340,12 +340,14 @@ def subtour_mix(n: int, m: int, a) -> LinearFunctional:
     return combine(a, make_subtour(n, range(1, m + 1)), 1 - Fraction(a), make_ones(n))
 
 
-def _matvec_exact(cf: ClosedFormK1, v: Vector) -> list[Fraction]:
-    items = list(v.items())
-    return [
-        sum((cf.entry(r, c) * x for c, x in items), Fraction(0))
-        for r in range(cf.dim)
-    ]
+def _matvec_exact(M: MomentMatrix, v: Vector) -> list[Fraction]:
+    """Exact M v from one integer product: v times the common denominator
+    of its entries is an integer column."""
+    den = math.lcm(*(x.denominator for x in v.values()))
+    col = np.zeros((M.dim, 1), dtype=object)
+    for c, x in v.items():
+        col[c, 0] = x.numerator * (den // x.denominator)
+    return [Fraction(int(y), M.scale * den) for y in M.product(col)[:, 0].tolist()]
 
 
 def verify_eigenpairs_exact(n: int, m: int, a) -> EigenpairReport:
@@ -377,14 +379,12 @@ def verify_eigenpairs_exact(n: int, m: int, a) -> EigenpairReport:
     mult_ok = sum(mults) == n * (n - 1) // 2 - 1 and all(
         c.span_rank == c.claimed_multiplicity for c in checks
     )
-    trace = sum((cf.entry(i, i) for i in range(d)), zero)
+    trace = cf.trace()
     trace_ok = trace == n + 1
     pair = residual_pair(n, m, a)
     fam_sum = sum((lam * mult for lam, mult in zip(values, mults)), zero)
     residual_sum_ok = trace - fam_sum == Fraction(2) * pair.c_value / pair.denominator
-    trace_sq = sum(
-        (cf.entry(i, j) ** 2 for i in range(d) for j in range(d)), zero
-    )
+    trace_sq = Fraction(sum(x * x for x in cf.N.ravel().tolist()), cf.scale**2)
     fam_sq = sum((lam * lam * mult for lam, mult in zip(values, mults)), zero)
     expected_sq = Fraction(2) * (pair.c_value**2 + pair.d_value) / pair.denominator**2
     residual_square_ok = trace_sq - fam_sq == expected_sq
@@ -487,7 +487,7 @@ def ones_spectrum(n: int) -> OnesSpectrumReport:
             cyc_reducer.add(v)
         if cyc_reducer.rank >= target:
             break
-    trace = sum((cf.entry(i, i) for i in range(d)), zero)
+    trace = cf.trace()
     residual = trace - lam * cyc_reducer.rank
     ok = ok and star_rank == n and cyc_reducer.rank == target and trace == n + 1
     evals = np.linalg.eigvalsh(cf.float_matrix())

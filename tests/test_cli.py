@@ -2,10 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+import numpy as np
 
 import tsppsd
 from tsppsd import cli
 from tsppsd.cli import run
+from tsppsd.functionals import combine, functional_to_spec, make_ones, make_subtour
+from tsppsd.moment import moment_matrix_closed_form_k1, moment_matrix_enumerated_cycles
+from tsppsd.rational import format_fraction
 
 SUBTOUR_SPEC = {"kind": "subtour", "n": 8, "U": [1, 2, 3]}
 OUTSIDE_SPEC = {
@@ -206,6 +212,43 @@ def test_verify_suite_and_determinism(tmp_path):
     assert data["failures"] == 0
     ids = [c["id"] for c in data["checks"]]
     assert ids == sorted(ids)
+
+
+def test_verify_report_does_not_depend_on_the_eigensolver(tmp_path, monkeypatch):
+    # the numerical checks report the tolerance they passed, not the
+    # deviation that the LAPACK build happened to give
+    args = ["verify", "--suite", "spectra", "--n-max", "7", "--out"]
+    plain, perturbed = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(args + [str(plain)]) == 0
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: eigvalsh(A) + 1e-13)
+    assert run(args + [str(perturbed)]) == 0
+    assert plain.read_bytes() == perturbed.read_bytes()
+
+
+def test_matrix_output_formats_every_entry(tmp_path):
+    # JSON and CSV hold format_fraction(N_ij / scale) for every entry
+    a = Fraction(7, 3)
+    for n in range(3, 9):
+        f = make_ones(n) if n == 3 else combine(a, make_subtour(n, {1, 2}), 1 - a, make_ones(n))
+        func = write_spec(tmp_path, functional_to_spec(f))
+        for method, M in (
+            ("closed-form", moment_matrix_closed_form_k1(f)),
+            ("enumerate", moment_matrix_enumerated_cycles(n, f, 1)),
+        ):
+            rows = [[format_fraction(Fraction(x, M.scale)) for x in row] for row in M.N.tolist()]
+            want_json = {"n": n, "k": 1, "basis": list(M.labels), "entries": rows}
+            want_csv = ["basis," + ",".join(M.labels)] + [
+                label + "," + ",".join(row) for label, row in zip(M.labels, rows)
+            ]
+            out = tmp_path / "m.out"
+            for fmt, want in (
+                ("json", json.dumps(want_json, indent=2)),
+                ("csv", "\n".join(want_csv)),
+            ):
+                argv = ["matrix", "--func", func, "--method", method, "--format", fmt]
+                assert run(argv + ["--out", str(out)]) == 0
+                assert out.read_bytes() == (want + "\n").encode(), (n, method, fmt)
 
 
 def test_verify_zero_one_suite(capsys):

@@ -7,6 +7,7 @@ from tsppsd.linalg import (
     certified_pd,
     exact_ldlt,
 )
+from tsppsd.rational import clear_denominators
 
 
 def form_value(rows, v):
@@ -53,7 +54,7 @@ def test_witness_found_behind_several_pivots():
         cases.append(conjugate(diag, L))
     cases.append(scaled(cases[0]))
     for rows in cases:
-        res = exact_ldlt(rows)
+        res = exact_ldlt(clear_denominators(rows)[0])
         assert not res.is_psd
         assert form_value(rows, res.witness) < 0
 
@@ -65,12 +66,12 @@ def test_psd_with_rank_deficiency():
     diag = [Fraction(2), Fraction(1), Fraction(0), Fraction(0), Fraction(3), Fraction(0)]
     rows = conjugate(diag, L)
     for case in (rows, scaled(rows)):
-        res = exact_ldlt(case)
+        res = exact_ldlt(clear_denominators(case)[0])
         assert res.is_psd and res.rank == 3
 
 
 def test_zero_matrix_is_psd():
-    res = exact_ldlt([[Fraction(0)] * 3 for _ in range(3)])
+    res = exact_ldlt([[0] * 3 for _ in range(3)])
     assert res.is_psd and res.rank == 0
 
 

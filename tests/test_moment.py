@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tsppsd.cycles import all_edges, edge, edge_index, enumerate_cycles
@@ -17,6 +18,7 @@ from tsppsd.functionals import (
 from tsppsd.linalg import exact_ldlt
 from tsppsd.moment import (
     GroundSet,
+    MomentMatrix,
     closed_form_k1,
     containment_probability,
     cycle_ground_set,
@@ -101,6 +103,7 @@ def test_closed_form_equals_enumeration():
             enum = moment_matrix_enumerated_cycles(n, f, 1)
             assert closed.entries == enum.entries
             assert closed.labels == enum.labels
+            assert closed == enum
 
 
 def test_closed_form_equals_enumeration_random_functionals():
@@ -110,10 +113,10 @@ def test_closed_form_equals_enumeration_random_functionals():
             f = random_functional(n, rng)
             # the second copy has numerators beyond int64
             for g in (f, combine(Fraction(10**19 + 1, 10**19 + 3), f, 0, f)):
-                assert (
-                    moment_matrix_closed_form_k1(g).entries
-                    == moment_matrix_enumerated_cycles(n, g, 1).entries
-                )
+                closed = moment_matrix_closed_form_k1(g)
+                enum = moment_matrix_enumerated_cycles(n, g, 1)
+                assert closed.entries == enum.entries
+                assert closed == enum
 
 
 def test_constant_functional_gives_containment_probabilities():
@@ -170,7 +173,7 @@ def test_trace_scales_with_average():
 def test_nonnegative_functional_matrices_are_psd():
     for n in (6, 7):
         for f in generators(n):
-            res = exact_ldlt(moment_matrix_closed_form_k1(f).entries)
+            res = exact_ldlt(moment_matrix_closed_form_k1(f).N.tolist())
             assert res.is_psd
 
 
@@ -178,7 +181,7 @@ def test_rank_bounded_by_ground_set():
     X = cycle_ground_set(5)
     vals = [Fraction(1)] * len(X.points)
     M = moment_matrix_enumerated(X, vals, 2)
-    res = exact_ldlt(M.entries)
+    res = exact_ldlt(M.N.tolist())
     assert res.is_psd
     assert res.rank <= len(X.points)
 
@@ -198,16 +201,49 @@ def test_closed_form_quadratic_form_is_exact():
     for g in (f, combine(a, f, 1 - a, make_ones(7))):
         cf = closed_form_k1(g)
         keep = sorted(rng.sample(range(cf.dim), 15))
-        rows = cf.exact_entries(keep)
+        rows = [[cf.entry(i, j) for j in keep] for i in keep]
         for size in (1, 2**20, 2**40):
             v = [rng.randint(-size, size) for _ in keep]
             want = sum(v[i] * rows[i][j] * v[j] for i in range(15) for j in range(15))
             assert cf.quadratic_form(v, keep) == want
         v = [rng.randint(-9, 9) for _ in range(cf.dim)]
-        rows = cf.exact_entries()
+        rows = cf.entries
         assert cf.quadratic_form(v) == sum(
             v[i] * rows[i][j] * v[j] for i in range(cf.dim) for j in range(cf.dim)
         )
+
+
+def test_float_matrix_is_correctly_rounded():
+    # N / scale is bitwise float(Fraction) per entry, for int64 numerators
+    # and for Python-int numerators beyond 2^63
+    f = combine(Fraction(5, 2), make_subtour(6, {1, 2, 3}), Fraction(-3, 2), make_ones(6))
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    for g, big in ((f, False), (combine(a, f, 1 - a, make_ones(6)), True)):
+        mats = [
+            moment_matrix_closed_form_k1(g),
+            moment_matrix_enumerated_cycles(6, g, 1),
+            moment_matrix_enumerated_cycles(6, g, 2),
+        ]
+        for M in mats:
+            assert (M.N.dtype == object) == big
+            want = np.array([[float(x) for x in row] for row in M.entries])
+            assert M.float_matrix().tobytes() == want.tobytes()
+            assert M.to_float().tobytes() == want.tobytes()
+            keep = [0, 3, 5, 9]
+            assert M.float_matrix(keep).tobytes() == want[np.ix_(keep, keep)].tobytes()
+
+
+def test_rows_constructor_clears_denominators_once():
+    rows = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), 4]]
+    M = MomentMatrix.from_rows(1, ((0,), (1,)), ("a", "b"), rows)
+    assert M.scale == 6 and M.N.tolist() == [[3, -2], [-2, 24]]
+    assert M.entries == rows and M.trace() == Fraction(9, 2)
+    # equality compares values, whatever the scale
+    assert M == MomentMatrix(1, M.basis, M.labels, M.N * 5, 30)
+    assert M != MomentMatrix(1, M.basis, M.labels, M.N, 7)
+    big = Fraction(1, 2**70)
+    M = MomentMatrix.from_rows(1, ((0,),), ("a",), [[big + 2**70]])
+    assert M.N.dtype == object and M.entry(0, 0) == big + 2**70
 
 
 def test_quadratic_form_values():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tsppsd import cli
 from tsppsd.cycles import all_edges, edge, edge_index
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import (
@@ -27,6 +29,7 @@ from tsppsd.moment import (
     moment_matrix_enumerated_cycles,
 )
 from tsppsd.psd import (
+    EXACT_FALLBACK_CAP,
     boundary_certificate,
     is_psd_exact,
     is_psd_float,
@@ -39,9 +42,10 @@ from tsppsd.spectra import residual_pair
 
 
 def as_matrix(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
     d = len(rows)
-    return MomentMatrix(1, tuple((i,) for i in range(d)), tuple(map(str, range(d))), rows)
+    return MomentMatrix.from_rows(
+        1, tuple((i,) for i in range(d)), tuple(map(str, range(d))), rows
+    )
 
 
 def form_value(rows, v):
@@ -76,14 +80,9 @@ def test_exact_ldlt_zero_diagonal_indefinite():
 
 
 def test_exact_ldlt_rank():
-    res = exact_ldlt([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    res = exact_ldlt([[1, 1], [1, 1]])
     assert res.is_psd and res.rank == 1
-    res = exact_ldlt(
-        [
-            [Fraction(2), Fraction(-1)],
-            [Fraction(-1), Fraction(2)],
-        ]
-    )
+    res = exact_ldlt([[2, -1], [-1, 2]])
     assert res.is_psd and res.rank == 2
 
 
@@ -189,25 +188,62 @@ def test_membership_rejects_sqrt_n_mixes_at_scale():
             assert form_value(M.entries, fl.witness) < 0
 
 
-def test_exact_fallback_when_eigenvector_witness_fails(monkeypatch):
-    n, m = 10, 3
-    a = math.isqrt(n) + 1
-    f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+def top_vector_first(monkeypatch):
+    """Make `np.linalg.eigh` hand back the eigenvector of the largest
+    eigenvalue first, which cannot certify v^T M v < 0."""
     eigh = np.linalg.eigh
 
-    def top_vector_first(A):
-        # the eigenvector of the largest eigenvalue cannot certify v^T M v < 0
+    def patched(A):
         evals, vecs = eigh(A)
         vecs = vecs.copy()
         vecs[:, 0] = vecs[:, -1]
         return evals, vecs
 
-    monkeypatch.setattr(np.linalg, "eigh", top_vector_first)
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+
+
+def test_exact_fallback_when_eigenvector_witness_fails(monkeypatch):
+    n, m = 10, 3
+    a = math.isqrt(n) + 1
+    f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+    top_vector_first(monkeypatch)
     verdict = membership_p1(f)
     assert verdict.status == "NOT_PSD"
     assert verdict.method == "exact-ldlt"
     rows = moment_matrix_closed_form_k1(f).entries
     assert form_value(rows, verdict.witness) < 0
+
+
+def test_exact_fallback_refused_above_its_cap(monkeypatch, tmp_path):
+    # n = 24 reduces to r = 276 - 23 = 253 coordinates, where Bareiss would
+    # take tens of seconds: a resource limit (exit 3), not a long run
+    n, m = 24, 5
+    assert n * (n - 1) // 2 - (n - 1) > EXACT_FALLBACK_CAP
+    a = math.isqrt(n) + 1
+    f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+    top_vector_first(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="exact fallback"):
+        membership_p1(f)
+    spec = tmp_path / "f.json"
+    spec.write_text(json.dumps(functional_to_spec(f)))
+    argv = ["membership", "--func", str(spec), "--out", str(tmp_path / "out.json")]
+    assert cli.run(argv) == cli.EXIT_RESOURCE
+
+
+def test_float_witness_checked_on_the_numerators():
+    # NOT_PSD witnesses of is_psd_float: v^T N v / scale < 0, the same value
+    # as the Fraction sum over the entries
+    for n, m, a in ((8, 3, 8), (9, 4, 10), (12, 4, 5)):
+        f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+        mats = [moment_matrix_closed_form_k1(f)]
+        if n <= 8:
+            mats.append(moment_matrix_enumerated_cycles(n, f, 1))
+        for M in mats:
+            verdict = is_psd_float(M)
+            assert verdict.status == "NOT_PSD" and verdict.witness is not None
+            value = M.quadratic_form(verdict.witness)
+            assert value < 0
+            assert value == form_value(M.entries, verdict.witness)
 
 
 def test_membership_rejection_matches_residual_eigenvalue_sign():
