@@ -15,11 +15,13 @@ Two engines:
   yields an exact integer witness vector.
 
 * `certified_pd`: a rigorous floating-point positive-definiteness proof.
-  If floating Cholesky succeeds on A - shift*I, the standard backward-error
-  bound for Cholesky puts lambda_min(A) above shift minus the error margin;
-  choosing shift above (margin + an elementwise bound on the exact-to-float
-  conversion error) makes success a proof that the exact matrix is PD.
-  Failure proves nothing and callers fall back to `exact_ldlt`.
+  If floating Cholesky succeeds on A - shift*I with Rump's shift (BIT 46,
+  2006) for the Cholesky rounding error plus a bound on the exact-to-float
+  conversion error, the exact matrix is PD.  Failure proves nothing and
+  callers fall back to `exact_ldlt`.
+
+`exact_ldlt` is the only exact elimination: ranks of integer vector
+families are the Bareiss ranks of their Gram matrices.
 
 Floating-point eigenvalues, where a caller needs them, come from LAPACK
 (`np.linalg.eigh` / `eigvalsh`).
@@ -117,75 +119,57 @@ def exact_ldlt(matrix: Rows) -> LdltResult:
     return LdltResult(True, len(trail), None)
 
 
+UNIT_ROUNDOFF = Fraction(1, 2**53)  # u of IEEE-754 binary64
+SUBNORMAL_MIN = Fraction(1, 2**1074)  # smallest positive binary64
+
+
+def cholesky_shift(A: np.ndarray, entry_error_bound: float = 0.0) -> float:
+    """The diagonal shift of `certified_pd`, rounded upward:
+
+        gamma / (1 - 2 gamma) * trace(A)          Cholesky rounding (Rump)
+        + 16 r (r + 2 + max_i a_ii) * 2^-1074     underflow, generously
+        + r * entry_error_bound                   float conversion
+
+    with gamma = (r+1) u / (1 - (r+1) u) and u = 2^-53.  The sum is formed
+    from an upper bound on the trace and rounded up once.  Assumes
+    a_ii >= 0.
+    """
+    r = A.shape[0]
+    diag = np.diagonal(A).tolist()
+    # fsum is correctly rounded, so one step up bounds the exact trace
+    trace = Fraction(math.nextafter(math.fsum(diag), math.inf))
+    gamma = (r + 1) * UNIT_ROUNDOFF / (1 - (r + 1) * UNIT_ROUNDOFF)
+    shift = (
+        gamma / (1 - 2 * gamma) * trace
+        + 16 * r * (r + 2 + Fraction(max(diag, default=0.0))) * SUBNORMAL_MIN
+        + r * Fraction(entry_error_bound)
+    )
+    up = float(shift)
+    return up if Fraction(up) >= shift else math.nextafter(up, math.inf)
+
+
 def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:
     """Rigorous proof that the exact matrix approximated by A is PD.
 
-    `entry_error_bound` bounds |A_exact[i][j] - A[i][j]| elementwise.  A
-    True return is a proof (up to IEEE-754 conformance); False is merely
-    inconclusive.
+    `entry_error_bound` bounds |A_exact[i][j] - A[i][j]| elementwise.
+    Rump, "Verification of positive definiteness", BIT 46 (2006): if
+    floating Cholesky of fl(A - s I) runs to completion, with A of
+    nonnegative diagonal, then lambda_min(A) > s - c, where c is
+    gamma_{r+1}/(1 - 2 gamma_{r+1}) * trace(A) plus an underflow term.  The
+    conversion moves each eigenvalue by at most r * entry_error_bound, so
+    s = `cholesky_shift` proves the exact matrix PD.  A True return is a
+    proof (up to IEEE-754 conformance); False is merely inconclusive, and
+    so is any negative diagonal entry.
     """
     r = A.shape[0]
     if r == 0:
         return True
-    eps = float(np.finfo(np.float64).eps)  # 2^-52
-    B = np.abs(A, dtype=np.float64)  # the one work array besides the factor
-    norm = float(np.max(B.sum(axis=1)))
-    # ||dA||_2 <= r * entry_error_bound for the conversion, and the Cholesky
-    # backward error is within c*(r+1)*eps*||A||; factor 8 absorbs blocked
-    # LAPACK constants and the rounding of the shift subtraction itself.
-    margin = 8.0 * (r + 1) * eps * max(norm, 1.0)
-    conversion = r * entry_error_bound
-    shift = margin + conversion
-    np.copyto(B, A)
-    B.flat[:: r + 1] -= shift  # bitwise A - shift * I
+    if np.any(np.diagonal(A) < 0):
+        return False
+    B = np.array(A, dtype=np.float64)  # the one work array besides the factor
+    B.flat[:: r + 1] -= cholesky_shift(A, entry_error_bound)  # bitwise fl(A - s I)
     try:
         np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-class RationalRowReducer:
-    """Incremental exact Gaussian elimination for rank/span queries."""
-
-    def __init__(self) -> None:
-        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot col -> row
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, vector: dict[int, Fraction]) -> bool:
-        """Reduce `vector` against the span; returns True if rank grew."""
-        v = {c: x for c, x in vector.items() if x}
-        while v:
-            piv = min(v)
-            row = self._rows.get(piv)
-            if row is None:
-                inv = 1 / v[piv]
-                self._rows[piv] = {c: x * inv for c, x in v.items()}
-                return True
-            fac = v[piv]
-            for c, x in row.items():
-                nv = v.get(c, Fraction(0)) - fac * x
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        return False
-
-    def contains(self, vector: dict[int, Fraction]) -> bool:
-        v = {c: x for c, x in vector.items() if x}
-        while v:
-            piv = min(v)
-            row = self._rows.get(piv)
-            if row is None:
-                return False
-            fac = v[piv]
-            for c, x in row.items():
-                nv = v.get(c, Fraction(0)) - fac * x
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        return True

@@ -221,9 +221,9 @@ class MomentMatrix:
     def product(self, X: np.ndarray, keep: Sequence[int] | None = None) -> np.ndarray:
         """Exact N[keep, keep] @ X for an integer matrix X: float64 BLAS while
         every partial sum is an integer below 2^53, int64 below 2^63, Python
-        ints beyond."""
+        ints beyond.  An X without columns gives the empty product."""
         N = self.numerators(keep)
-        bound = self._max_abs * int(np.abs(X).sum(axis=0).max())
+        bound = self._max_abs * int(np.abs(X).sum(axis=0).max(initial=0))
         dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
         return N.astype(dt) @ X.astype(dt)
 
@@ -361,6 +361,13 @@ def _mono_value(mono: Monomial, point: Sequence[Fraction]) -> Fraction:
     return val
 
 
+def _integer_functional(f: LinearFunctional) -> tuple[int, dict[Edge, int], int]:
+    """f times the least common denominator den of its constant and edge
+    coefficients: the integer constant, the integer coefficients, and den."""
+    (row,), den = clear_denominators([[f.constant, *f.coeff.values()]])
+    return row[0], dict(zip(f.coeff, row[1:])), den
+
+
 def moment_matrix_enumerated_cycles(
     n: int,
     f: LinearFunctional,
@@ -375,11 +382,7 @@ def moment_matrix_enumerated_cycles(
     edges = all_edges(n)
     dim = len(edges)
     basis = monomial_basis(dim, k, basis_cap)
-    den = math.lcm(
-        f.constant.denominator, *(c.denominator for c in f.coeff.values())
-    ) if f.coeff else f.constant.denominator
-    const_i = int(f.constant * den)
-    coeff_i = {e: int(c * den) for e, c in f.coeff.items()}
+    const_i, coeff_i, den = _integer_functional(f)
     eidx = {e: i for i, e in enumerate(edges)}
     weighted = (
         (
@@ -471,11 +474,7 @@ class ClosedFormK1(MomentMatrix):
         self.edges = all_edges(n)
         E = len(self.edges)
         dim = 1 + E
-        den = math.lcm(
-            f.constant.denominator, *(c.denominator for c in f.coeff.values())
-        )
-        const = int(f.constant * den)
-        coeff = {e: int(c * den) for e, c in f.coeff.items()}
+        const, coeff, den = _integer_functional(f)
         total = sum(coeff.values())
         p1, p2a, p2d = (_path_probability(n, k, m) for k, m in ((1, 1), (2, 1), (2, 2)))
         p31, p32, p33 = (_path_probability(n, 3, m) for m in (1, 2, 3))
@@ -553,11 +552,7 @@ def quadratic_form_value(
     if f.n != n:
         raise ValueError(f"functional has n={f.n}, requested n={n}")
     cycles = enumerate_cycles(n, cycle_cap)
-    den = math.lcm(
-        f.constant.denominator, *(c.denominator for c in f.coeff.values())
-    ) if f.coeff else f.constant.denominator
-    const_i = int(f.constant * den)
-    coeff_i = {e: int(c * den) for e, c in f.coeff.items()}
+    const_i, coeff_i, den = _integer_functional(f)
     fedges = p.factor_edges(n)
     total = 0
     for cyc in cycles:

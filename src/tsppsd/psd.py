@@ -28,7 +28,6 @@ machine only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,6 +54,7 @@ from tsppsd.moment import (
     zero_one_certificate,
 )
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
+from tsppsd.rational import clear_denominators
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
@@ -251,9 +251,8 @@ def _kernel_vector_verified(
     """Exact check that M restricted to `keep` annihilates w: w scaled to
     integers by its common denominator, times the integer numerator matrix
     of M, must vanish."""
-    den = math.lcm(*(x.denominator for x in w))
-    column = np.array([[int(x * den)] for x in w], dtype=object)
-    return cf.annihilates(column, keep)
+    (column,), _ = clear_denominators([w])
+    return cf.annihilates(np.array(column, dtype=object)[:, None], keep)
 
 
 def membership_pk_enumerated(

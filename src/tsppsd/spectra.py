@@ -12,6 +12,12 @@ cross-check: exactly via the trace identities (the sum and the sum of
 squares of the residual pair are rational even though the pair itself is
 not), and numerically against an eigendecomposition of the closed-form
 matrix.
+
+The eigenvector generators of each family are the integer columns of one
+int64 matrix V.  A family is checked with one exact integer product of
+the moment numerators N (M = N / scale): M V = (p/q) V iff
+q N V = p scale V.  Its span rank is the Bareiss rank (`exact_ldlt`) of the
+Gram matrix of V, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from tsppsd.functionals import (
     make_ones,
     make_subtour,
 )
-from tsppsd.linalg import RationalRowReducer
+from tsppsd.linalg import exact_ldlt
 from tsppsd.moment import MomentMatrix, closed_form_k1, degree_relations
 
 FAMILY_LABELS = (
@@ -213,90 +219,83 @@ def closed_form_spectrum(n: int, m: int, a) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
-# eigenvector generators (coordinates: 0 = constant, 1 + edge index)
+# eigenvector generators (rows: 0 = constant, 1 + edge index)
 # ---------------------------------------------------------------------------
-
-Vector = dict[int, Fraction]
-
 
 def _coord(n: int, u: int, v: int) -> int:
     return 1 + edge_index(edge(u, v), n)
 
 
-def star_vectors(n: int) -> list[Vector]:
-    """Degree relation 2 - sum of edges at i, one vector per vertex."""
-    S = degree_relations(n)
-    return [
-        {int(r): Fraction(int(S[r, i])) for r in np.flatnonzero(S[:, i])}
-        for i in range(n)
-    ]
+def _squares(n: int, quads: Sequence[tuple[int, int, int, int]]) -> np.ndarray:
+    """One column per four-cycle a-b-c-d: +1 on ab and cd, -1 on bc and da."""
+    V = np.zeros((1 + n * (n - 1) // 2, len(quads)), dtype=np.int64)
+    for col, (a, b, c, d) in enumerate(quads):
+        V[[_coord(n, a, b), _coord(n, c, d)], col] = 1
+        V[[_coord(n, b, c), _coord(n, d, a)], col] = -1
+    return V
 
 
-def four_cycle_vector(n: int, a: int, b: int, c: int, d: int) -> Vector:
-    return {
-        _coord(n, a, b): Fraction(1),
-        _coord(n, b, c): Fraction(-1),
-        _coord(n, c, d): Fraction(1),
-        _coord(n, d, a): Fraction(-1),
-    }
+def _four_cycles_within(n: int, verts: Sequence[int]) -> np.ndarray:
+    """The three four-cycles on every four vertices of `verts`."""
+    return _squares(n, [
+        order
+        for a, b, c, d in combinations(sorted(verts), 4)
+        for order in ((a, b, c, d), (a, b, d, c), (a, c, b, d))
+    ])
 
 
-def _four_cycles_within(n: int, verts: Sequence[int]) -> list[Vector]:
-    out = []
-    for a, b, c, d in combinations(sorted(verts), 4):
-        out.append(four_cycle_vector(n, a, b, c, d))
-        out.append(four_cycle_vector(n, a, b, d, c))
-        out.append(four_cycle_vector(n, a, c, b, d))
-    return out
+def _pair_differences(n: int, inner: Sequence[int], outer: Sequence[int]) -> np.ndarray:
+    """One column per pair i < j of `inner`: |outer| on the edges from i to
+    the rest of `inner` against |inner| - 2 on the edges from i to `outer`,
+    and the negation at j."""
+    w_in, w_out = len(outer), len(inner) - 2
+    pairs = list(combinations(inner, 2))
+    V = np.zeros((1 + n * (n - 1) // 2, len(pairs)), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        for sign, x in ((1, i), (-1, j)):
+            for ell in inner:
+                if ell not in (i, j):
+                    V[_coord(n, x, ell), col] = sign * w_in
+            for t in outer:
+                V[_coord(n, x, t), col] = -sign * w_out
+    return V
 
 
-def eigenvector_families(n: int, m: int) -> dict[str, list[Vector]]:
-    """Spanning generators for each tabled family, U = {1..m}."""
+def eigenvector_families(n: int, m: int) -> dict[str, np.ndarray]:
+    """Spanning generators for each tabled family, U = {1..m}: one int64
+    matrix per family, one column per generator."""
     _check_range(n, m)
     U = list(range(1, m + 1))
     W = list(range(m + 1, n + 1))
-    fams: dict[str, list[Vector]] = {FAMILY_LABELS[0]: star_vectors(n)}
-    fams[FAMILY_LABELS[1]] = _four_cycles_within(n, U)
-    fams[FAMILY_LABELS[2]] = _four_cycles_within(n, W)
-    cross = []
-    for i, j in combinations(U, 2):
-        for p, q in combinations(W, 2):
-            cross.append({
-                _coord(n, i, p): Fraction(1),
-                _coord(n, i, q): Fraction(-1),
-                _coord(n, j, q): Fraction(1),
-                _coord(n, j, p): Fraction(-1),
-            })
-    fams[FAMILY_LABELS[3]] = cross
-    in_diff = []
-    w_in = Fraction(n - m, m - 2)
-    for i, j in combinations(U, 2):
-        v: Vector = {}
-        for ell in U:
-            if ell in (i, j):
-                continue
-            v[_coord(n, i, ell)] = w_in
-            v[_coord(n, j, ell)] = -w_in
-        for t in W:
-            v[_coord(n, i, t)] = Fraction(-1)
-            v[_coord(n, j, t)] = Fraction(1)
-        in_diff.append(v)
-    fams[FAMILY_LABELS[4]] = in_diff
-    out_diff = []
-    w_out = Fraction(m, n - m - 2)
-    for p, q in combinations(W, 2):
-        v = {}
-        for t in W:
-            if t in (p, q):
-                continue
-            v[_coord(n, p, t)] = w_out
-            v[_coord(n, q, t)] = -w_out
-        for ell in U:
-            v[_coord(n, p, ell)] = Fraction(-1)
-            v[_coord(n, q, ell)] = Fraction(1)
-        out_diff.append(v)
-    fams[FAMILY_LABELS[5]] = out_diff
-    return fams
+    return dict(zip(FAMILY_LABELS, (
+        degree_relations(n),
+        _four_cycles_within(n, U),
+        _four_cycles_within(n, W),
+        _squares(n, [(p, i, q, j) for i, j in combinations(U, 2)
+                     for p, q in combinations(W, 2)]),
+        _pair_differences(n, U, W),
+        _pair_differences(n, W, U),
+    )))
+
+
+def _is_eigen(M: MomentMatrix, V: np.ndarray, lam: Fraction) -> bool:
+    """Exact test that M V = lam V, as one integer product: with
+    lam = p/q, N V q == p scale V."""
+    P = M.product(V)
+    p, q = lam.numerator * M.scale, lam.denominator
+    big = max(int(np.abs(P).max(initial=0)) * q, abs(p) * int(np.abs(V).max(initial=0)))
+    dt = np.int64 if big < 2**63 else object
+    return bool(np.array_equal(P.astype(dt) * q, V.astype(dt) * p))
+
+
+def _span_rank(V: np.ndarray) -> int:
+    """Rank of the integer matrix V: the Bareiss rank of the smaller of the
+    Gram matrices V V^T and V^T V, which is PSD with the rank of V.  Formed
+    in float64 while every sum of products is an integer below 2^53."""
+    dt = float if int(np.abs(V).max(initial=0)) ** 2 * max(V.shape) < 2**53 else object
+    W = V.astype(dt)
+    G = W @ W.T if V.shape[0] <= V.shape[1] else W.T @ W
+    return exact_ldlt(G.astype(np.int64 if dt is float else object).tolist()).rank
 
 
 # ---------------------------------------------------------------------------
@@ -340,42 +339,19 @@ def subtour_mix(n: int, m: int, a) -> LinearFunctional:
     return combine(a, make_subtour(n, range(1, m + 1)), 1 - Fraction(a), make_ones(n))
 
 
-def _matvec_exact(M: MomentMatrix, v: Vector) -> list[Fraction]:
-    """Exact M v from one integer product: v times the common denominator
-    of its entries is an integer column."""
-    den = math.lcm(*(x.denominator for x in v.values()))
-    col = np.zeros((M.dim, 1), dtype=object)
-    for c, x in v.items():
-        col[c, 0] = x.numerator * (den // x.denominator)
-    return [Fraction(int(y), M.scale * den) for y in M.product(col)[:, 0].tolist()]
-
-
 def verify_eigenpairs_exact(n: int, m: int, a) -> EigenpairReport:
-    """Exact A v = lambda v checks for every generated family vector, rank
-    accounting, and the exact residual-pair trace identities."""
+    """Exact M V = lambda V check and span rank for every tabled family, and
+    the exact residual-pair trace identities."""
     _check_range(n, m)
     a = Fraction(a)
     cf = closed_form_k1(subtour_mix(n, m, a))
-    d = cf.dim
     zero = Fraction(0)
     values = (zero,) + subtour_family_values(n, m, a)
     mults = family_multiplicities(n, m)
-    fams = eigenvector_families(n, m)
-    checks = []
-    for label, lam, mult in zip(FAMILY_LABELS, values, mults):
-        vectors = fams[label]
-        reducer = RationalRowReducer()
-        ok = True
-        for v in vectors:
-            Av = _matvec_exact(cf, v)
-            for r in range(d):
-                if Av[r] != lam * v.get(r, zero):
-                    ok = False
-                    break
-            if not ok:
-                break
-            reducer.add(v)
-        checks.append(FamilyCheck(label, lam, mult, reducer.rank, len(vectors), ok))
+    checks = [
+        FamilyCheck(label, lam, mult, _span_rank(V), V.shape[1], _is_eigen(cf, V, lam))
+        for (label, V), lam, mult in zip(eigenvector_families(n, m).items(), values, mults)
+    ]
     mult_ok = sum(mults) == n * (n - 1) // 2 - 1 and all(
         c.span_rank == c.claimed_multiplicity for c in checks
     )
@@ -466,35 +442,26 @@ def ones_spectrum(n: int) -> OnesSpectrumReport:
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     cf = closed_form_k1(make_ones(n))
-    d = cf.dim
-    zero = Fraction(0)
     lam = Fraction(2, n - 1)
-    ok = True
-    reducer = RationalRowReducer()
-    for v in star_vectors(n):
-        Av = _matvec_exact(cf, v)
-        ok = ok and all(x == 0 for x in Av)
-        reducer.add(v)
-    star_rank = reducer.rank
+    stars = degree_relations(n)
+    cycles = _four_cycles_within(n, range(1, n + 1))
+    star_rank = _span_rank(stars)
+    cycle_rank = _span_rank(cycles)
     target = n * (n - 3) // 2
-    cyc_reducer = RationalRowReducer()
-    for a, b, c, dd in combinations(range(1, n + 1), 4):
-        for order in ((a, b, c, dd), (a, b, dd, c), (a, c, b, dd)):
-            v = four_cycle_vector(n, *order)
-            Av = _matvec_exact(cf, v)
-            if any(Av[r] != lam * v.get(r, zero) for r in range(d)):
-                ok = False
-            cyc_reducer.add(v)
-        if cyc_reducer.rank >= target:
-            break
     trace = cf.trace()
-    residual = trace - lam * cyc_reducer.rank
-    ok = ok and star_rank == n and cyc_reducer.rank == target and trace == n + 1
+    residual = trace - lam * cycle_rank
+    ok = (
+        cf.annihilates(stars)
+        and _is_eigen(cf, cycles, lam)
+        and star_rank == n
+        and cycle_rank == target
+        and trace == n + 1
+    )
     evals = np.linalg.eigvalsh(cf.float_matrix())
     expected = np.sort(
         np.array([0.0] * n + [float(lam)] * target + [float(residual)])
     )
     dev = float(np.max(np.abs(np.sort(evals) - expected)))
     return OnesSpectrumReport(
-        n, star_rank, cyc_reducer.rank, lam, trace, residual, ok, dev
+        n, star_rank, cycle_rank, lam, trace, residual, ok, dev
     )

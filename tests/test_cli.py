@@ -169,7 +169,8 @@ def test_spectrum_verify(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["exact_eigenpairs"] is True
-    assert data["numerical_max_deviation"] < 1e-9
+    assert data["numerical_match"] is True
+    assert data["numerical_tolerance"] == 1e-9
     mults = [f["multiplicity"] for f in data["families"]]
     assert sum(mults) + 2 == data["dimension"]
 
@@ -218,6 +219,16 @@ def test_verify_report_does_not_depend_on_the_eigensolver(tmp_path, monkeypatch)
     # the numerical checks report the tolerance they passed, not the
     # deviation that the LAPACK build happened to give
     args = ["verify", "--suite", "spectra", "--n-max", "7", "--out"]
+    plain, perturbed = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(args + [str(plain)]) == 0
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: eigvalsh(A) + 1e-13)
+    assert run(args + [str(perturbed)]) == 0
+    assert plain.read_bytes() == perturbed.read_bytes()
+
+
+def test_spectrum_report_does_not_depend_on_the_eigensolver(tmp_path, monkeypatch):
+    args = ["spectrum", "--n", "9", "--m", "4", "--a", "2/1", "--verify", "--out"]
     plain, perturbed = tmp_path / "a.json", tmp_path / "b.json"
     assert run(args + [str(plain)]) == 0
     eigvalsh = np.linalg.eigvalsh

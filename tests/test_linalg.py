@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 from tsppsd.linalg import (
-    RationalRowReducer,
     certified_pd,
+    cholesky_shift,
     exact_ldlt,
 )
 from tsppsd.rational import clear_denominators
@@ -83,12 +84,35 @@ def test_certified_pd_respects_entry_error():
     assert not certified_pd(A, entry_error_bound=1e-5)
 
 
-def test_row_reducer_rank_and_membership():
-    red = RationalRowReducer()
-    assert red.add({0: Fraction(1), 1: Fraction(2)})
-    assert red.add({1: Fraction(1)})
-    assert not red.add({0: Fraction(2), 1: Fraction(7)})
-    assert red.rank == 2
-    assert red.contains({0: Fraction(5), 1: Fraction(-3)})
-    assert not red.contains({2: Fraction(1)})
-    assert red.contains({})
+def test_cholesky_shift_is_rumps_bound():
+    # gamma_{r+1} / (1 - 2 gamma_{r+1}) * trace + 16 r (r + 2 + max a_ii) 2^-1074
+    # + r * entry_error_bound, rounded up
+    rng = np.random.default_rng(3)
+    u, eta = Fraction(1, 2**53), Fraction(1, 2**1074)
+    for r, err in ((1, 0.0), (7, 1e-17), (40, 3e-12), (530, 0.0), (1711, 2e-16)):
+        # only the diagonal enters the shift
+        A = np.diag(rng.uniform(0.1, 3.0, r))
+        A[0, -1] = A[-1, 0] = 5.0
+        g = (r + 1) * u / (1 - (r + 1) * u)
+        trace = sum(Fraction(x) for x in np.diagonal(A).tolist())
+        exact = (
+            g / (1 - 2 * g) * trace
+            + 16 * r * (r + 2 + Fraction(float(np.max(np.diagonal(A))))) * eta
+            + r * Fraction(err)
+        )
+        shift = cholesky_shift(A, err)
+        # the least float >= exact, or the next one: the trace enters as an
+        # upper bound one float above its correctly rounded value
+        least = float(exact)
+        if Fraction(least) < exact:
+            least = math.nextafter(least, math.inf)
+        assert shift in (least, math.nextafter(least, math.inf))
+
+
+def test_certified_pd_decides_at_the_shift():
+    # on a diagonal matrix, Cholesky of A - s I succeeds iff every a_ii > s
+    s0 = cholesky_shift(np.diag([1.0, 1.0, 0.0]))
+    assert certified_pd(np.diag([1.0, 1.0, 2 * s0]))
+    assert not certified_pd(np.diag([1.0, 1.0, s0 / 2]))
+    # a negative diagonal entry is never certified
+    assert not certified_pd(np.array([[1.0, 0.0], [0.0, -1e-300]]))

@@ -246,6 +246,15 @@ def test_rows_constructor_clears_denominators_once():
     assert M.N.dtype == object and M.entry(0, 0) == big + 2**70
 
 
+def test_product_with_no_columns_is_empty():
+    cf = closed_form_k1(make_ones(6))
+    X = np.zeros((cf.dim, 0), dtype=np.int64)
+    assert cf.product(X).shape == (cf.dim, 0)
+    keep = [1, 2, 5]
+    assert cf.product(X[keep], keep).shape == (3, 0)
+    assert cf.annihilates(X) and cf.annihilates(X[keep], keep)
+
+
 def test_quadratic_form_values():
     n = 6
     f = make_edge_bound(n, edge(1, 2), "upper")

@@ -6,7 +6,7 @@ import pytest
 
 from tsppsd.cycles import edge, edge_index
 from tsppsd.functionals import make_subtour
-from tsppsd.linalg import RationalRowReducer
+from tsppsd.linalg import exact_ldlt
 from tsppsd.moment import closed_form_k1
 from tsppsd.spectra import (
     FAMILY_LABELS,
@@ -20,7 +20,6 @@ from tsppsd.spectra import (
     residual_pair,
     spectrum_matches_numerical,
     sqrt_n_nonpositivity,
-    star_vectors,
     subtour_family_values,
     subtour_mix,
     verify_eigenpairs_exact,
@@ -66,32 +65,57 @@ def test_range_validation():
 def test_star_vectors_annihilate_every_moment_matrix():
     for n, m in ((6, 3), (9, 4)):
         cf = closed_form_k1(subtour_mix(n, m, Fraction(2)))
-        for v in star_vectors(n):
+        stars = eigenvector_families(n, m)[FAMILY_LABELS[0]]
+        assert stars.shape == (cf.dim, n)
+        for v in stars.T.tolist():
             for r in range(cf.dim):
-                val = sum((cf.entry(r, c) * x for c, x in v.items()), Fraction(0))
+                val = sum((cf.entry(r, c) * x for c, x in enumerate(v)), Fraction(0))
                 assert val == 0
 
 
 def test_eigenvector_family_shapes():
     fams = eigenvector_families(8, 4)
     # four distinct vertices inside U exist, spanning dimension m(m-3)/2 = 2
-    reducer = RationalRowReducer()
-    for v in fams[FAMILY_LABELS[1]]:
-        reducer.add(v)
-    assert reducer.rank == 2
+    V = fams[FAMILY_LABELS[1]]
+    assert V.shape == (29, 3)
+    assert exact_ldlt((V.T @ V).tolist()).rank == 2
+    assert exact_ldlt((V @ V.T).tolist()).rank == 2
     # m = 3 has no four-vertex family inside U
-    assert eigenvector_families(6, 3)[FAMILY_LABELS[1]] == []
+    assert eigenvector_families(6, 3)[FAMILY_LABELS[1]].shape == (16, 0)
 
 
 def test_family5_vector_matches_printed_pattern():
-    n, m = 6, 3
-    fams = eigenvector_families(n, m)
-    v = fams[FAMILY_LABELS[4]][0]  # pair (1, 2) in U
-    w = Fraction(n - m, m - 2)  # = 3
-    assert v[1 + edge_index(edge(1, 3), n)] == w
-    assert v[1 + edge_index(edge(2, 3), n)] == -w
-    assert v[1 + edge_index(edge(1, 4), n)] == -1
-    assert v[1 + edge_index(edge(2, 4), n)] == 1
+    # the pair-difference patterns scaled to integers: in-U by m-2 to n-m
+    # against m-2, out-U by n-m-2 to m against n-m-2
+    for n, m in ((6, 3), (11, 4)):
+        fams = eigenvector_families(n, m)
+        for label, i, j, inner, outer in (
+            (FAMILY_LABELS[4], 1, 2, range(3, m + 1), range(m + 1, n + 1)),
+            (FAMILY_LABELS[5], m + 1, m + 2, range(m + 3, n + 1), range(1, m + 1)),
+        ):
+            v = fams[label][:, 0]  # the first pair (i, j)
+            w_in, w_out = len(outer), len(inner)
+            for ell in inner:
+                assert v[1 + edge_index(edge(i, ell), n)] == w_in
+                assert v[1 + edge_index(edge(j, ell), n)] == -w_in
+            for t in outer:
+                assert v[1 + edge_index(edge(i, t), n)] == -w_out
+                assert v[1 + edge_index(edge(j, t), n)] == w_out
+            assert np.count_nonzero(v) == 2 * (len(inner) + len(outer))
+
+
+def test_eigen_check_rejects_a_wrong_eigenvalue(monkeypatch):
+    # shift the four-cycle-in-U value by 10^-12; ranks do not depend on it
+    off = Fraction(1, 10**12)
+    monkeypatch.setattr(
+        "tsppsd.spectra.subtour_family_values",
+        lambda n, m, a: (subtour_family_values(n, m, a)[0] + off,)
+        + subtour_family_values(n, m, a)[1:],
+    )
+    rep = verify_eigenpairs_exact(9, 4, 2)
+    assert [c.exact_pass for c in rep.families] == [True, False, True, True, True, True]
+    assert [c.span_rank for c in rep.families] == list(family_multiplicities(9, 4))
+    assert not rep.all_ok
 
 
 def test_verify_eigenpairs_grid():
