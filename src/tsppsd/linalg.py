@@ -46,6 +46,19 @@ class LdltResult:
     witness: list[int] | None  # exact v with v^T M v < 0 when not PSD
 
 
+def integer_matmul(A: np.ndarray, B: np.ndarray, a_max: int | None = None) -> np.ndarray:
+    """Exact A @ B for integer arrays, as an integer array: float64 BLAS
+    while every partial sum is an integer below 2^53, int64 below 2^63,
+    Python ints beyond.  `a_max` bounds |A| when the caller knows it."""
+    if a_max is None:
+        a_max = int(np.abs(A).max(initial=0))
+    bound = a_max * int(np.abs(B).sum(axis=0).max(initial=0))
+    if bound < 2**53:
+        return (A.astype(float) @ B.astype(float)).astype(np.int64)
+    dt = np.int64 if bound < 2**63 else object
+    return A.astype(dt) @ B.astype(dt)
+
+
 def _witness_value(M: Rows, v: Sequence[int]) -> int:
     """Exact v^T M v; zero entries of v are skipped."""
     support = [j for j, x in enumerate(v) if x]

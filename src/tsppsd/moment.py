@@ -45,6 +45,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import LinearFunctional
+from tsppsd.linalg import integer_matmul
 from tsppsd.polynomials import CertificatePolynomial
 from tsppsd.rational import clear_denominators, format_fraction
 
@@ -219,13 +220,10 @@ class MomentMatrix:
         return up if Fraction(up) >= worst else math.nextafter(up, math.inf)
 
     def product(self, X: np.ndarray, keep: Sequence[int] | None = None) -> np.ndarray:
-        """Exact N[keep, keep] @ X for an integer matrix X: float64 BLAS while
-        every partial sum is an integer below 2^53, int64 below 2^63, Python
-        ints beyond.  An X without columns gives the empty product."""
-        N = self.numerators(keep)
-        bound = self._max_abs * int(np.abs(X).sum(axis=0).max(initial=0))
-        dt = float if bound < 2**53 else np.int64 if bound < 2**63 else object
-        return N.astype(dt) @ X.astype(dt)
+        """Exact N[keep, keep] @ X for an integer matrix X, as an integer
+        array (`linalg.integer_matmul`).  An X without columns gives the
+        empty product."""
+        return integer_matmul(self.numerators(keep), X, self._max_abs)
 
     def annihilates(self, X: np.ndarray, keep: Sequence[int] | None = None) -> bool:
         """Exact test that M, restricted to `keep`, maps every column of the
@@ -236,7 +234,7 @@ class MomentMatrix:
         """Exact v^T M v for an integer vector v, M restricted to `keep`."""
         x = np.array(v, dtype=object)
         Nv = self.product(x[:, None], keep)[:, 0].tolist()
-        return Fraction(sum(int(a) * b for a, b in zip(Nv, v)), self.scale)
+        return Fraction(sum(a * b for a, b in zip(Nv, v)), self.scale)
 
     def zero_rows(self) -> list[int]:
         """Indices whose entire row is exactly zero."""

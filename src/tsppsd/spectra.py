@@ -13,11 +13,12 @@ squares of the residual pair are rational even though the pair itself is
 not), and numerically against an eigendecomposition of the closed-form
 matrix.
 
-The eigenvector generators of each family are the integer columns of one
-int64 matrix V.  A family is checked with one exact integer product of
-the moment numerators N (M = N / scale): M V = (p/q) V iff
-q N V = p scale V.  Its span rank is the Bareiss rank (`exact_ldlt`) of the
-Gram matrix of V, so no rational arithmetic is needed.
+The eigenvector generators of each family are the integer columns of an
+integer matrix V, built and checked in column blocks of bounded size.  Each
+block is checked with one exact integer product of the moment numerators
+N (M = N / scale): M V = (p/q) V iff q N V = p scale V.  The span rank is
+the Bareiss rank (`exact_ldlt`) of the Gram matrix of V, so no rational
+arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from functools import partial
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from tsppsd.functionals import (
     make_ones,
     make_subtour,
 )
-from tsppsd.linalg import exact_ldlt
+from tsppsd.linalg import exact_ldlt, integer_matmul
 from tsppsd.moment import MomentMatrix, closed_form_k1, degree_relations
 
 FAMILY_LABELS = (
@@ -235,21 +237,20 @@ def _squares(n: int, quads: Sequence[tuple[int, int, int, int]]) -> np.ndarray:
     return V
 
 
-def _four_cycles_within(n: int, verts: Sequence[int]) -> np.ndarray:
+def _four_cycles(verts: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     """The three four-cycles on every four vertices of `verts`."""
-    return _squares(n, [
-        order
-        for a, b, c, d in combinations(sorted(verts), 4)
-        for order in ((a, b, c, d), (a, b, d, c), (a, c, b, d))
-    ])
+    for a, b, c, d in combinations(sorted(verts), 4):
+        yield from ((a, b, c, d), (a, b, d, c), (a, c, b, d))
 
 
-def _pair_differences(n: int, inner: Sequence[int], outer: Sequence[int]) -> np.ndarray:
-    """One column per pair i < j of `inner`: |outer| on the edges from i to
+def _pair_differences(
+    n: int, pairs: Sequence[tuple[int, int]], inner: Sequence[int],
+    outer: Sequence[int],
+) -> np.ndarray:
+    """One column per pair (i, j) of `inner`: |outer| on the edges from i to
     the rest of `inner` against |inner| - 2 on the edges from i to `outer`,
     and the negation at j."""
     w_in, w_out = len(outer), len(inner) - 2
-    pairs = list(combinations(inner, 2))
     V = np.zeros((1 + n * (n - 1) // 2, len(pairs)), dtype=np.int64)
     for col, (i, j) in enumerate(pairs):
         for sign, x in ((1, i), (-1, j)):
@@ -261,21 +262,37 @@ def _pair_differences(n: int, inner: Sequence[int], outer: Sequence[int]) -> np.
     return V
 
 
-def eigenvector_families(n: int, m: int) -> dict[str, np.ndarray]:
-    """Spanning generators for each tabled family, U = {1..m}: one int64
-    matrix per family, one column per generator."""
+def _stars(n: int, vertices: Sequence[int]) -> np.ndarray:
+    """The vertex-degree relations at the given 0-based vertices."""
+    return degree_relations(n)[:, list(vertices)]
+
+
+Family = tuple[Callable[[int, list], np.ndarray], Iterable]
+
+
+def _families(n: int, m: int) -> dict[str, Family]:
+    """Spanning generators for each tabled family, U = {1..m}: a builder of
+    integer columns and the lazy sequence it builds them from."""
     _check_range(n, m)
     U = list(range(1, m + 1))
     W = list(range(m + 1, n + 1))
+    cross = ((p, i, q, j) for i, j in combinations(U, 2) for p, q in combinations(W, 2))
     return dict(zip(FAMILY_LABELS, (
-        degree_relations(n),
-        _four_cycles_within(n, U),
-        _four_cycles_within(n, W),
-        _squares(n, [(p, i, q, j) for i, j in combinations(U, 2)
-                     for p, q in combinations(W, 2)]),
-        _pair_differences(n, U, W),
-        _pair_differences(n, W, U),
+        (_stars, range(n)),
+        (_squares, _four_cycles(U)),
+        (_squares, _four_cycles(W)),
+        (_squares, cross),
+        (partial(_pair_differences, inner=U, outer=W), combinations(U, 2)),
+        (partial(_pair_differences, inner=W, outer=U), combinations(W, 2)),
     )))
+
+
+def eigenvector_families(n: int, m: int) -> dict[str, np.ndarray]:
+    """Spanning generators for each tabled family, U = {1..m}: one int64
+    matrix per family, one column per generator."""
+    return {
+        label: build(n, list(specs)) for label, (build, specs) in _families(n, m).items()
+    }
 
 
 def _is_eigen(M: MomentMatrix, V: np.ndarray, lam: Fraction) -> bool:
@@ -283,19 +300,39 @@ def _is_eigen(M: MomentMatrix, V: np.ndarray, lam: Fraction) -> bool:
     lam = p/q, N V q == p scale V."""
     P = M.product(V)
     p, q = lam.numerator * M.scale, lam.denominator
-    big = max(int(np.abs(P).max(initial=0)) * q, abs(p) * int(np.abs(V).max(initial=0)))
+    # initial=1: p and q must fit as well, also when V has no columns
+    big = max(int(np.abs(P).max(initial=1)) * q,
+              abs(p) * int(np.abs(V).max(initial=1)))
     dt = np.int64 if big < 2**63 else object
     return bool(np.array_equal(P.astype(dt) * q, V.astype(dt) * p))
 
 
-def _span_rank(V: np.ndarray) -> int:
-    """Rank of the integer matrix V: the Bareiss rank of the smaller of the
-    Gram matrices V V^T and V^T V, which is PSD with the rank of V.  Formed
-    in float64 while every sum of products is an integer below 2^53."""
-    dt = float if int(np.abs(V).max(initial=0)) ** 2 * max(V.shape) < 2**53 else object
-    W = V.astype(dt)
-    G = W @ W.T if V.shape[0] <= V.shape[1] else W.T @ W
-    return exact_ldlt(G.astype(np.int64 if dt is float else object).tolist()).rank
+BLOCK_ENTRIES = 2**18  # int64 entries in one column block of a family (2 MiB)
+
+
+def _check_family(
+    M: MomentMatrix, family: Family, lam: Fraction
+) -> tuple[int, int, bool]:
+    """Span rank, number of columns and the exact test M V = lam V of a
+    family V, built max(dim, BLOCK_ENTRIES / dim) columns at a time so that
+    a family of any size is held one block at a time.  The rank is the
+    Bareiss rank of the smaller Gram matrix, which is PSD with the rank of
+    V: V^T V when V is narrower than dim, else V V^T summed over blocks."""
+    build, specs = family[0], iter(family[1])
+    width = max(M.dim, BLOCK_ENTRIES // M.dim)
+    V = build(M.n, list(islice(specs, width)))
+    if V.shape[1] < M.dim:  # narrower than one block: the whole family
+        rank = exact_ldlt(integer_matmul(V.T, V).tolist()).rank
+        return rank, V.shape[1], _is_eigen(M, V, lam)
+    G, bound, cols, ok = 0, 0, 0, True
+    while V.shape[1]:
+        bound += int(np.abs(V).max()) ** 2 * V.shape[1]
+        B = integer_matmul(V, V.T)
+        G = G + (B if bound < 2**63 else B.astype(object))
+        cols += V.shape[1]
+        ok = ok and _is_eigen(M, V, lam)
+        V = build(M.n, list(islice(specs, width)))
+    return exact_ldlt(G.tolist()).rank, cols, ok
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +386,8 @@ def verify_eigenpairs_exact(n: int, m: int, a) -> EigenpairReport:
     values = (zero,) + subtour_family_values(n, m, a)
     mults = family_multiplicities(n, m)
     checks = [
-        FamilyCheck(label, lam, mult, _span_rank(V), V.shape[1], _is_eigen(cf, V, lam))
-        for (label, V), lam, mult in zip(eigenvector_families(n, m).items(), values, mults)
+        FamilyCheck(label, lam, mult, *_check_family(cf, family, lam))
+        for (label, family), lam, mult in zip(_families(n, m).items(), values, mults)
     ]
     mult_ok = sum(mults) == n * (n - 1) // 2 - 1 and all(
         c.span_rank == c.claimed_multiplicity for c in checks
@@ -443,16 +480,15 @@ def ones_spectrum(n: int) -> OnesSpectrumReport:
         raise ValueError(f"need n >= 5, got {n}")
     cf = closed_form_k1(make_ones(n))
     lam = Fraction(2, n - 1)
-    stars = degree_relations(n)
-    cycles = _four_cycles_within(n, range(1, n + 1))
-    star_rank = _span_rank(stars)
-    cycle_rank = _span_rank(cycles)
+    star_rank, _, stars_ok = _check_family(cf, (_stars, range(n)), Fraction(0))
+    cycles = (_squares, _four_cycles(range(1, n + 1)))
+    cycle_rank, _, cycles_ok = _check_family(cf, cycles, lam)
     target = n * (n - 3) // 2
     trace = cf.trace()
     residual = trace - lam * cycle_rank
     ok = (
-        cf.annihilates(stars)
-        and _is_eigen(cf, cycles, lam)
+        stars_ok
+        and cycles_ok
         and star_rank == n
         and cycle_rank == target
         and trace == n + 1

@@ -7,6 +7,7 @@ from tsppsd.linalg import (
     certified_pd,
     cholesky_shift,
     exact_ldlt,
+    integer_matmul,
 )
 from tsppsd.rational import clear_denominators
 
@@ -116,3 +117,20 @@ def test_certified_pd_decides_at_the_shift():
     assert not certified_pd(np.diag([1.0, 1.0, s0 / 2]))
     # a negative diagonal entry is never certified
     assert not certified_pd(np.array([[1.0, 0.0], [0.0, -1e-300]]))
+
+
+def test_integer_matmul_is_exact_in_every_regime():
+    # partial sums below 2^53 (float64 BLAS), below 2^63 (int64) and beyond
+    # (Python ints); the result is an integer array in each
+    rng = random.Random(5)
+    for top in (2**20, 2**28, 2**40):
+        A = [[rng.randint(-top, top) for _ in range(5)] for _ in range(4)]
+        B = [[rng.randint(-top, top) for _ in range(3)] for _ in range(5)]
+        P = integer_matmul(np.array(A, dtype=object), np.array(B, dtype=object))
+        assert P.dtype in (np.int64, object)
+        assert P.tolist() == [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A
+        ]
+    assert all(isinstance(x, int) for x in P.ravel().tolist())
+    assert integer_matmul(np.ones((3, 2), dtype=np.int64),
+                          np.zeros((2, 0), dtype=np.int64)).shape == (3, 0)

@@ -255,6 +255,17 @@ def test_product_with_no_columns_is_empty():
     assert cf.annihilates(X) and cf.annihilates(X[keep], keep)
 
 
+def test_product_is_an_integer_array():
+    # the float64 BLAS path comes back as exact int64
+    cf = closed_form_k1(make_ones(7))
+    X = np.arange(cf.dim, dtype=np.int64)[:, None] - 9
+    P = cf.product(X)
+    assert P.dtype == np.int64
+    assert P[:, 0].tolist() == [
+        sum(a * b for a, b in zip(row, X[:, 0].tolist())) for row in cf.N.tolist()
+    ]
+
+
 def test_quadratic_form_values():
     n = 6
     f = make_edge_bound(n, edge(1, 2), "upper")

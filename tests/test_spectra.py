@@ -7,6 +7,7 @@ import pytest
 from tsppsd.cycles import edge, edge_index
 from tsppsd.functionals import make_subtour
 from tsppsd.linalg import exact_ldlt
+from tsppsd import spectra
 from tsppsd.moment import closed_form_k1
 from tsppsd.spectra import (
     FAMILY_LABELS,
@@ -116,6 +117,35 @@ def test_eigen_check_rejects_a_wrong_eigenvalue(monkeypatch):
     assert [c.exact_pass for c in rep.families] == [True, False, True, True, True, True]
     assert [c.span_rank for c in rep.families] == list(family_multiplicities(9, 4))
     assert not rep.all_ok
+
+
+def test_eigen_check_is_exact_for_a_large_rational_a():
+    # with a = (10^9+7)/(10^9+9), p = numerator * scale passes 2^63 while
+    # N V stays below 2^53, so the check compares Python ints
+    a = Fraction(10**9 + 7, 10**9 + 9)
+    for n, m in ((6, 3), (9, 4)):
+        cf = closed_form_k1(subtour_mix(n, m, a))
+        assert abs(subtour_family_values(n, m, a)[2].numerator) * cf.scale >= 2**63
+        rep = verify_eigenpairs_exact(n, m, a)
+        assert rep.all_ok, (n, m)
+        assert [c.span_rank for c in rep.families] == list(family_multiplicities(n, m))
+
+
+def test_family_checks_do_not_depend_on_the_block_width(monkeypatch):
+    # blocks one dim wide give the same reports as whole families
+    whole = verify_eigenpairs_exact(10, 3, 2), ones_spectrum(8)
+    widths = []
+    is_eigen = spectra._is_eigen
+    monkeypatch.setattr(spectra, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(
+        spectra, "_is_eigen",
+        lambda M, V, lam: widths.append(V.shape[1]) or is_eigen(M, V, lam),
+    )
+    assert (verify_eigenpairs_exact(10, 3, 2), ones_spectrum(8)) == whole
+    # four-cycle-out-U at (10, 3) has 105 columns and dim is 46; the 210
+    # four-cycles of ones_spectrum(8) against dim 29
+    assert widths[2:5] == [46, 46, 13]
+    assert max(widths) <= 46 and widths.count(29) == 7
 
 
 def test_verify_eigenpairs_grid():
