@@ -240,6 +240,14 @@ class MomentMatrix:
         """Indices whose entire row is exactly zero."""
         return np.flatnonzero(~(self.N != 0).any(axis=1)).tolist()
 
+    def constant_row_copies(self) -> list[int]:
+        """Indices i >= 1 whose row equals row 0 exactly.  By symmetry such
+        a row has N[i, i] = N[0, 0], so whole rows are compared only where
+        the diagonals match."""
+        N = self.N
+        cand = 1 + np.flatnonzero(N.diagonal()[1:] == N[0, 0])
+        return [i for i in cand.tolist() if np.array_equal(N[i], N[0])]
+
     def formatted_rows(self) -> list[list[str]]:
         """Entries as "p/q" strings; each distinct numerator is formatted once."""
         rows = self.N.tolist()
@@ -424,22 +432,50 @@ def _path_probability(n: int, k: int, m: int) -> Fraction:
     return Fraction(2 ** (m - 1) * factorial(n - k - 1), num_cycles(n))
 
 
-def _edge_vertex_incidence(n: int) -> np.ndarray:
-    """0/1 int64 matrix, one row per vertex and one column per edge of K_n."""
-    edges = all_edges(n)
-    inc = np.zeros((n, len(edges)), dtype=np.int64)
-    cols = np.arange(len(edges))
-    inc[[e.u - 1 for e in edges], cols] = 1
-    inc[[e.v - 1 for e in edges], cols] = 1
-    return inc
+@dataclass(frozen=True)
+class _EdgeLayout:
+    """Index data of the degree-1 basis of K_n, shared by every matrix at n.
+    The arrays are read-only."""
+
+    edges: tuple[Edge, ...]  # lexicographic, the basis order after the constant
+    u: np.ndarray  # 0-based endpoints of each edge, u < v
+    v: np.ndarray
+    at: np.ndarray  # n x (n-1): the indices of the edges at each vertex
+    basis: tuple[Monomial, ...]
+    labels: tuple[str, ...]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_layout(n: int) -> _EdgeLayout:
+    edges = tuple(all_edges(n))
+    E = len(edges)
+    u = np.array([e.u - 1 for e in edges], dtype=np.int64)
+    v = np.array([e.v - 1 for e in edges], dtype=np.int64)
+    # every vertex lies on n-1 edges, so sorting the edge ids by endpoint
+    # groups them into n rows of n-1
+    ends = np.concatenate([u, v])
+    ids = np.concatenate([np.arange(E), np.arange(E)])
+    at = ids[np.argsort(ends, kind="stable")].reshape(n, n - 1)
+    basis: tuple[Monomial, ...] = ((),) + tuple((i,) for i in range(E))
+    labels = ("1",) + tuple(f"{e.u}-{e.v}" for e in edges)
+    return _EdgeLayout(edges, _read_only(u), _read_only(v), _read_only(at), basis, labels)
+
+
+@functools.lru_cache(maxsize=64)
 def degree_relations(n: int) -> np.ndarray:
-    """Integer matrix whose column i-1 is the vertex-degree relation at i in
-    the degree-1 basis: 2 on the constant, -1 on each edge at i."""
-    return np.vstack(
-        [np.full((1, n), 2, dtype=np.int64), -_edge_vertex_incidence(n).T]
-    )
+    """Read-only integer matrix whose column i-1 is the vertex-degree
+    relation at i in the degree-1 basis: 2 on the constant, -1 on each edge
+    at i."""
+    at = _edge_layout(n).at
+    D = np.zeros((1 + n * (n - 1) // 2, n), dtype=np.int64)
+    D[0] = 2
+    D[1 + at, np.arange(n)[:, None]] = -1
+    return _read_only(D)
 
 
 ROW_BLOCK = 256  # rows of N built at once; bounds the size of temporaries
@@ -452,24 +488,32 @@ class ClosedFormK1(MomentMatrix):
     lexicographically.  Entry (a, b) of two edges is
     const * P(a u b) + sum_e c_e * P(a u b u {e}), and by the path-block
     count P depends only on how e meets a u b.  Summed over e, the entry is
-    affine in four statistics of the pair, with coefficients chosen by a
-    fifth, the adjacency (B B^T)_ab in {0, 1, 2} (disjoint, adjacent, equal):
+    affine in four statistics of the pair, with coefficients chosen by how
+    a and b meet (disjoint, adjacent or equal):
 
     * t_a + t_b, where t = B s and s = C 1 are the vertex sums;
     * c_a + c_b;
     * (B C B^T)_ab, the coefficients between endpoints of a and of b;
-    * (B diag(s) B^T)_ab, the vertex sums at shared endpoints.
+    * (B diag(s) B^T)_ab, the vertex sums at shared endpoints (0 for a
+      disjoint pair).
 
     Here C is the symmetric vertex-by-vertex coefficient matrix and B the
-    edge-vertex incidence.  The constant row repeats the diagonal.  N is
-    int64 when a bound on its entries computed from the functional fits,
-    and holds Python ints otherwise.
+    edge-vertex incidence.  The disjoint-pair formula fills the edge block
+    densely, in row blocks, from the vertex-by-edge matrix
+    H = C B^T (rows of H at the ends of a sum to row a of B C B^T).  The
+    n(n-1)(n-2) adjacent pairs, the ordered pairs of distinct edges at one
+    vertex, and the diagonal are then overwritten with their own formulas,
+    so no array is indexed by the pair type.  The constant row repeats the
+    diagonal.  N is int64 when a bound on its entries and on every partial
+    sum, computed from the functional, fits, and holds Python ints
+    otherwise.
     """
 
     def __init__(self, f: LinearFunctional):
         self.f = f
         n = f.n
-        self.edges = all_edges(n)
+        layout = _edge_layout(n)
+        self.edges = layout.edges
         E = len(self.edges)
         dim = 1 + E
         const, coeff, den = _integer_functional(f)
@@ -497,33 +541,42 @@ class ClosedFormK1(MomentMatrix):
             + [abs(row[0]) + stat * sum(abs(w) for w in row[1:]) for row in Wi]
         )
         dt = np.int64 if bound < 2**63 else object
-        Wi = np.array(Wi, dtype=dt)
+        wd, wa, we = np.array(Wi, dtype=dt)
         C = np.zeros((n, n), dtype=dt)
         for e, c in coeff.items():
             C[e.u - 1, e.v - 1] = C[e.v - 1, e.u - 1] = c
-        inc = _edge_vertex_incidence(n)
-        u = np.array([e.u - 1 for e in self.edges], dtype=np.int64)
-        v = np.array([e.v - 1 for e in self.edges], dtype=np.int64)
+        u, v, at = layout.u, layout.v, layout.at
         s = C.sum(axis=1)
         t = s[u] + s[v]
         c = C[u, v]
-        H = C @ inc.astype(dt)  # H[x, b]: coefficients from x to the ends of b
+        H = C[:, u] + C[:, v]  # H[x, b]: coefficients from x to the ends of b
         N = np.empty((dim, dim), dtype=dt)
         N[0, 0] = int(corner * R)
+        # disjoint pairs: wd . (1, t_a+t_b, c_a+c_b, H[u_a, b]+H[v_a, b], 0),
+        # with the first two statistics folded into g_a + g_b
+        g = wd[1] * t + wd[2] * c
         for lo in range(0, E, ROW_BLOCK):
-            rows = slice(lo, min(lo + ROW_BLOCK, E))
-            ua, va = u[rows], v[rows]
-            adj = inc[ua] + inc[va]
-            block = Wi[adj, 0]
-            block += Wi[adj, 1] * (t[rows, None] + t)
-            block += Wi[adj, 2] * (c[rows, None] + c)
-            block += Wi[adj, 3] * (H[ua] + H[va])
-            block += Wi[adj, 4] * (s[ua, None] * inc[ua] + s[va, None] * inc[va])
-            N[1 + lo : 1 + rows.stop, 1:] = block
+            hi = min(lo + ROW_BLOCK, E)
+            block = N[1 + lo : 1 + hi, 1:]
+            np.add(H[u[lo:hi]], H[v[lo:hi]], out=block)
+            block *= wd[3]
+            block += g[lo:hi, None]
+            block += g
+            block += wd[0]
+        # adjacent pairs (a, b) at x; the a == b entries this writes are
+        # overwritten by the diagonal below
+        a, b = at[:, :, None], at[:, None, :]
+        N[1 + a, 1 + b] = (
+            wa[0] + wa[1] * (t[a] + t[b]) + wa[2] * (c[a] + c[b])
+            + wa[3] * (H[u[a], b] + H[v[a], b]) + wa[4] * s[:, None, None]
+        )
+        # equal pairs: t_a+t_a, c_a+c_a, (BCB^T)_aa = 2 c_a, s_u + s_v = t_a
+        diag = 1 + np.arange(E)
+        N[diag, diag] = (
+            we[0] + we[1] * (2 * t) + we[2] * (2 * c) + we[3] * (2 * c) + we[4] * t
+        )
         N[0, 1:] = N[1:, 0] = N.diagonal()[1:]
-        basis: list[Monomial] = [()] + [(i,) for i in range(E)]
-        labels = ("1",) + tuple(f"{e.u}-{e.v}" for e in self.edges)
-        super().__init__(1, basis, labels, N, den * R, n=n)
+        super().__init__(1, layout.basis, layout.labels, N, den * R, n=n)
 
     def star_kernel_verified(self) -> bool:
         """Exact check that every vertex-degree relation annihilates the

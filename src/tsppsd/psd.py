@@ -4,17 +4,25 @@ certificates.
 Membership of a functional in P_1 is decided on its closed-form degree-1
 moment matrix.  The decision pipeline, fastest first:
 
-1. quotient out the always-present kernel (one degree relation per vertex),
-   which reduces to a principal submatrix;
-2. strip exactly-zero rows;
-3. try a rigorous floating-point Cholesky certificate of definiteness;
-4. if the reduced matrix is numerically singular, deflate exact kernel
+1. quotient out the kernel vectors read exactly from the integer
+   numerators N, which reduces to a principal submatrix: one degree
+   relation per vertex, the unit x_e of each zero row, and 1 - x_e for
+   each edge row equal to the constant row (a copy).  The degree relations
+   pair with the constant and the edges at the first vertex that no zero
+   row or copy touches; the pairing is nonsingular unless there are
+   exactly n - 2 copies, and then, or when every vertex is touched, the
+   edges at vertex 1 are dropped with the zero rows only.  The edge-bound
+   facets and the subtour facets with |U| = 2, whose degree-1 boundary
+   certificate is x_e or 1 - x_e, thus reach step 2 with a definite
+   matrix and need no eigendecomposition;
+2. try a rigorous floating-point Cholesky certificate of definiteness;
+3. if the reduced matrix is numerically singular, deflate exact kernel
    vectors reconstructed from the numerical nullspace (each one re-verified
    in exact integer arithmetic before use) and retry; if it is clearly
    indefinite, round the LAPACK eigenvector of the smallest eigenvalue to
    an integer vector and keep it as the witness when v^T M v < 0 holds
    exactly on the integer numerators of M;
-5. fall back to fraction-free Bareiss elimination on those integer
+4. fall back to fraction-free Bareiss elimination on those integer
    numerators, which is always conclusive and produces an exact witness
    when the answer is NOT_PSD; above `EXACT_FALLBACK_CAP` reduced
    coordinates its cost is out of reach and ResourceLimitError is raised.
@@ -22,7 +30,7 @@ moment matrix.  The decision pipeline, fastest first:
 Every PSD verdict is therefore backed by either an exact elimination or a
 rigorous floating-point proof; every NOT_PSD verdict carries an exact
 integer witness vector.  Verdicts do not depend on the machine.  A witness
-from step 4 comes from LAPACK, so the vector itself is deterministic per
+from step 3 comes from LAPACK, so the vector itself is deterministic per
 machine only.
 """
 
@@ -135,15 +143,9 @@ def membership_p1(
             f"membership requires average exactly 1 on X, got {avg}"
         )
     cf = closed_form_k1(f)
-    n = cf.n
     # cheap transcription tripwire; the kernel property itself is structural
     _check_star_kernel(cf)
-    # The n degree relations pair invertibly with {constant, edges at vertex
-    # 1}, so dropping those coordinates restricts the form to a complement
-    # of the known kernel.
-    dropped = {0} | {1 + edge_index(edge(1, j), n) for j in range(2, n + 1)}
-    zero = set(cf.zero_rows())
-    keep = [i for i in range(cf.dim) if i not in dropped and i not in zero]
+    keep = _reduced_coordinates(cf)
     verdict = _decide_reduced(cf, keep)
     if verdict.witness is not None:
         full = [0] * cf.dim
@@ -158,6 +160,47 @@ def membership_p1(
     return verdict
 
 
+def _reduced_coordinates(cf: ClosedFormK1) -> list[int]:
+    """Coordinates of a complement of the kernel vectors read exactly from N.
+
+    The known kernel vectors are the n degree relations D_i, the unit x_e
+    of each zero row and 1 - x_e = e_0 - e_e of each edge row equal to the
+    constant row (a copy).  They pair with the dropped coordinates
+    {0} u (edges at the pairing vertex v) u (zero rows) u (copies), and the
+    square kernel matrix on those coordinates is nonsingular when no zero
+    row or copy touches v and #copies != n - 2: a relation
+    sum a_i D_i + sum g_z x_z + sum b_e (e_0 - e_e) = 0 on them reads
+    a_j = -a_v on the edge vj, g_z = -2 a_v and b_e = 2 a_v on the rows
+    themselves, and 2 a_v (2 - n + #copies) = 0 on the constant.  So every
+    vector is a kept vector plus a kernel vector, the form on M is the form
+    on the kept block, and a certified PD kept block proves M PSD.
+    """
+    n = cf.n
+    zero = cf.zero_rows()
+    copies = cf.constant_row_copies()
+    v, copies = _pairing_vertex(
+        n, [cf.edges[i - 1] for i in zero], [cf.edges[i - 1] for i in copies]
+    )
+    dropped = {0, *zero, *(1 + edge_index(e, n) for e in copies)}
+    dropped.update(1 + edge_index(edge(v, j), n) for j in range(1, n + 1) if j != v)
+    return [i for i in range(cf.dim) if i not in dropped]
+
+
+def _pairing_vertex(
+    n: int, zero: Sequence[Edge], copies: Sequence[Edge]
+) -> tuple[int, list[Edge]]:
+    """The vertex whose edges pair with the degree relations, and the copies
+    of the constant row quotiented with them: the first vertex that no zero
+    row or copy touches, with every copy.  Without such a vertex, or with
+    n - 2 copies, vertex 1 and no copy (zero rows are always dropped)."""
+    if len(copies) != n - 2:
+        touched = {x for e in (*zero, *copies) for x in e}
+        for v in range(1, n + 1):
+            if v not in touched:
+                return v, list(copies)
+    return 1, []
+
+
 def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:
     if not keep:
         return PsdVerdict("PSD", method="trivial")
@@ -169,9 +212,8 @@ def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:
     scale = max(1.0, float(np.max(np.abs(A))))
     lam_min = float(evals[0])
     if lam_min > -1e-7 * scale:
-        deflated = _deflate_numerical_kernel(cf, keep, evals, vecs, scale)
-        if deflated is not None:
-            sub_keep, lam = deflated
+        sub_keep = _deflate_numerical_kernel(cf, keep, evals, vecs, scale)
+        if sub_keep is not None:
             B = cf.float_matrix(sub_keep)
             if certified_pd(B, err):
                 return PsdVerdict(
@@ -213,11 +255,11 @@ def _deflate_numerical_kernel(
     evals: np.ndarray,
     vecs: np.ndarray,
     scale: float,
-) -> tuple[list[int], float] | None:
+) -> list[int] | None:
     """Reconstruct exact kernel vectors from the numerical nullspace.
 
-    Returns surviving coordinates and the smallest nonkernel eigenvalue, or
-    None if any candidate fails exact verification.
+    Returns the coordinates left after dropping one pivot per kernel vector,
+    or None if any candidate fails exact verification.
     """
     null_mask = np.abs(evals) <= 1e-8 * scale
     kdim = int(np.count_nonzero(null_mask))
@@ -240,9 +282,7 @@ def _deflate_numerical_kernel(
         w = [x if abs(float(x)) > 1e-10 else Fraction(0) for x in w]
         if not _kernel_vector_verified(cf, keep, w):
             return None
-    sub_keep = [keep[j] for j in range(r) if j not in set(pivots)]
-    lam = float(evals[~null_mask][0]) if np.any(~null_mask) else 0.0
-    return sub_keep, lam
+    return [keep[j] for j in range(r) if j not in set(pivots)]
 
 
 def _kernel_vector_verified(

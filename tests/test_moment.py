@@ -19,9 +19,11 @@ from tsppsd.linalg import exact_ldlt
 from tsppsd.moment import (
     GroundSet,
     MomentMatrix,
+    _edge_layout,
     closed_form_k1,
     containment_probability,
     cycle_ground_set,
+    degree_relations,
     expected_trace,
     moment_matrix_closed_form_k1,
     moment_matrix_enumerated,
@@ -190,6 +192,35 @@ def test_star_kernel_all_n_up_to_40():
     for n in range(6, 41):
         for f in (make_ones(n), make_subtour(n, range(1, n // 2 + 1))):
             assert closed_form_k1(f).star_kernel_verified(), n
+
+
+def test_per_n_index_arrays_are_cached_and_read_only():
+    n = 9
+    D = degree_relations(n)
+    assert degree_relations(n) is D
+    for i in range(1, n + 1):
+        want = [2] + [-1 if i in e else 0 for e in all_edges(n)]
+        assert D[:, i - 1].tolist() == want
+    layout = _edge_layout(n)
+    assert _edge_layout(n) is layout
+    for x in range(n):
+        assert sorted(layout.at[x].tolist()) == [
+            k for k, e in enumerate(all_edges(n)) if x + 1 in e
+        ]
+    for a in (D, layout.u, layout.v, layout.at):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_rows_read_from_the_numerators():
+    # edge-upper vanishes with x_e (zero row e), edge-lower is supported on
+    # x_e = 1 (row e copies the constant row)
+    n, e = 7, edge(2, 5)
+    upper = closed_form_k1(make_edge_bound(n, e, "upper"))
+    lower = closed_form_k1(make_edge_bound(n, e, "lower"))
+    assert upper.zero_rows() == [coord(n, *e)] and upper.constant_row_copies() == []
+    assert lower.zero_rows() == [] and lower.constant_row_copies() == [coord(n, *e)]
+    assert closed_form_k1(make_ones(n)).constant_row_copies() == []
 
 
 def test_closed_form_quadratic_form_is_exact():

@@ -30,6 +30,9 @@ from tsppsd.moment import (
 )
 from tsppsd.psd import (
     EXACT_FALLBACK_CAP,
+    _decide_reduced,
+    _pairing_vertex,
+    _reduced_coordinates,
     boundary_certificate,
     is_psd_exact,
     is_psd_float,
@@ -271,6 +274,65 @@ def test_rejected_at_k1_rejected_at_k2():
         f = combine(a, make_subtour(n, {1, 2, 3}), 1 - a, make_ones(n))
         if not membership_p1(f).is_psd:
             assert not membership_pk_enumerated(f, 2).is_psd
+
+
+def boundary_facets(n):
+    """Facets whose degree-1 boundary certificate is x_e or 1 - x_e, at an
+    edge through vertex 1."""
+    e = edge(1, n // 2)
+    return (
+        make_edge_bound(n, e, "lower"),
+        make_edge_bound(n, e, "upper"),
+        make_subtour(n, {1, n // 2}),
+    )
+
+
+def test_boundary_facets_certified_without_eigendecomposition(monkeypatch):
+    def no_eigh(A):
+        raise AssertionError("eigendecomposition in the P_1 decision")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for n in (24, 44):
+        for f in boundary_facets(n):
+            verdict = membership_p1(f)
+            assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky")
+
+
+def test_structural_quotient_leaves_a_definite_block():
+    # exactly: the kept block is nonsingular and has the rank of M, so the
+    # dropped coordinates pair with the whole kernel
+    for n in (6, 7):
+        fs = boundary_facets(n) + (
+            make_edge_bound(n, edge(2, 3), "lower"),
+            make_edge_bound(n, edge(2, 3), "upper"),
+            make_ones(n),
+        )
+        for f in fs:
+            cf = closed_form_k1(f)
+            keep = _reduced_coordinates(cf)
+            kept = exact_ldlt(cf.numerators(keep).tolist())
+            assert kept.is_psd and kept.rank == len(keep)
+            assert exact_ldlt(cf.numerators().tolist()).rank == len(keep)
+
+
+def test_pairing_vertex_choice():
+    n = 5
+    assert _pairing_vertex(n, [], []) == (1, [])
+    assert _pairing_vertex(n, [edge(1, 2)], [edge(1, 3)]) == (4, [edge(1, 3)])
+    # every vertex touched
+    assert _pairing_vertex(n, [edge(1, 2), edge(3, 4)], [edge(4, 5)]) == (1, [])
+    # n - 2 copies make the kernel matrix singular
+    assert _pairing_vertex(n, [], [edge(1, 2), edge(1, 3), edge(2, 3)]) == (1, [])
+
+
+def test_deflation_certifies_a_kernel_not_read_from_the_rows():
+    # G = A^T A has rank 3 and no zero row, and no row repeats row 0 since
+    # no column of A repeats column 0: its kernel is found numerically
+    A = np.array([[1, 2, 0, 1, 3], [0, 1, 1, 2, 1], [2, 0, 1, 1, 1]])
+    M = as_matrix((A.T @ A).tolist())
+    assert M.zero_rows() == [] and M.constant_row_copies() == []
+    verdict = _decide_reduced(M, list(range(5)))
+    assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky+deflation")
 
 
 def test_m2_subtour_on_boundary_with_extra_kernel():
