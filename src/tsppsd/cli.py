@@ -40,6 +40,7 @@ from tsppsd.psd import (
     is_psd_float,
     membership_p1,
     membership_pk_enumerated,
+    require_unit_average,
     verify_certificate,
 )
 from tsppsd.rational import format_fraction, parse_fraction
@@ -148,6 +149,7 @@ def cmd_membership(cfg: RunConfig) -> int:
             if cfg.k == 1
             else moment_matrix_enumerated_cycles(f.n, f, cfg.k, cfg.cycle_cap)
         )
+        require_unit_average(M.entry(0, 0))
         verdict = is_psd_float(M)
         payload = {
             "n": f.n,

@@ -173,16 +173,19 @@ def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:
     s = `cholesky_shift` proves the exact matrix PD.  A True return is a
     proof (up to IEEE-754 conformance); False is merely inconclusive, and
     so is any negative diagonal entry.
+
+    A must be a float64 array, and the caller gives it up: it is shifted in
+    place and holds fl(A - s I) on return, unless a negative diagonal entry
+    made the call return False untouched.
     """
     r = A.shape[0]
     if r == 0:
         return True
     if np.any(np.diagonal(A) < 0):
         return False
-    B = np.array(A, dtype=np.float64)  # the one work array besides the factor
-    B.flat[:: r + 1] -= cholesky_shift(A, entry_error_bound)  # bitwise fl(A - s I)
+    A.flat[:: r + 1] -= cholesky_shift(A, entry_error_bound)  # bitwise fl(A - s I)
     try:
-        np.linalg.cholesky(B)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return False
     return True

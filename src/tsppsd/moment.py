@@ -195,10 +195,11 @@ class MomentMatrix:
         return self.N if keep is None else self.N[np.ix_(keep, keep)]
 
     def float_matrix(self, keep: Sequence[int] | None = None) -> np.ndarray:
-        """Correctly rounded float64 entries."""
-        N = self.numerators(keep)
+        """Correctly rounded float64 entries, as a new array the caller owns."""
         if self._float_exact:
+            N = self.N if keep is None else self.N.take(keep, 0).take(keep, 1)
             return N / self.scale
+        N = self.numerators(keep)
         # Python int division rounds correctly at any size
         return (N.astype(object) / self.scale).astype(float)
 
@@ -214,7 +215,7 @@ class MomentMatrix:
         else:
             worst = max(
                 abs(Fraction(x / self.scale) - Fraction(x, self.scale))
-                for x in np.unique(self.N).tolist()
+                for x in set(self.N.ravel().tolist())
             )
         up = math.nextafter(float(worst), math.inf)
         return up if Fraction(up) >= worst else math.nextafter(up, math.inf)
@@ -441,6 +442,7 @@ class _EdgeLayout:
     u: np.ndarray  # 0-based endpoints of each edge, u < v
     v: np.ndarray
     at: np.ndarray  # n x (n-1): the indices of the edges at each vertex
+    other: np.ndarray  # n x (n-1): the other endpoint of each edge in `at`
     basis: tuple[Monomial, ...]
     labels: tuple[str, ...]
 
@@ -461,9 +463,12 @@ def _edge_layout(n: int) -> _EdgeLayout:
     ends = np.concatenate([u, v])
     ids = np.concatenate([np.arange(E), np.arange(E)])
     at = ids[np.argsort(ends, kind="stable")].reshape(n, n - 1)
+    other = u[at] + v[at] - np.arange(n)[:, None]
     basis: tuple[Monomial, ...] = ((),) + tuple((i,) for i in range(E))
     labels = ("1",) + tuple(f"{e.u}-{e.v}" for e in edges)
-    return _EdgeLayout(edges, _read_only(u), _read_only(v), _read_only(at), basis, labels)
+    return _EdgeLayout(
+        edges, *map(_read_only, (u, v, at, other)), basis, labels
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -476,9 +481,6 @@ def degree_relations(n: int) -> np.ndarray:
     D[0] = 2
     D[1 + at, np.arange(n)[:, None]] = -1
     return _read_only(D)
-
-
-ROW_BLOCK = 256  # rows of N built at once; bounds the size of temporaries
 
 
 class ClosedFormK1(MomentMatrix):
@@ -499,14 +501,17 @@ class ClosedFormK1(MomentMatrix):
 
     Here C is the symmetric vertex-by-vertex coefficient matrix and B the
     edge-vertex incidence.  The disjoint-pair formula fills the edge block
-    densely, in row blocks, from the vertex-by-edge matrix
-    H = C B^T (rows of H at the ends of a sum to row a of B C B^T).  The
+    densely from two vertex-by-edge matrices G1 and G2 (built from
+    H = C B^T, whose rows at the ends of a sum to row a of B C B^T): row a
+    is G1[u_a] + G2[v_a] + g_a.  The edges with one smaller endpoint x are
+    consecutive rows, so each such group is two contiguous passes, one add
+    of G2[x+1:] and G1[x] and one add of g down the rows.  The
     n(n-1)(n-2) adjacent pairs, the ordered pairs of distinct edges at one
     vertex, and the diagonal are then overwritten with their own formulas,
     so no array is indexed by the pair type.  The constant row repeats the
     diagonal.  N is int64 when a bound on its entries and on every partial
     sum, computed from the functional, fits, and holds Python ints
-    otherwise.
+    otherwise; both take the same code path.
     """
 
     def __init__(self, f: LinearFunctional):
@@ -545,31 +550,37 @@ class ClosedFormK1(MomentMatrix):
         C = np.zeros((n, n), dtype=dt)
         for e, c in coeff.items():
             C[e.u - 1, e.v - 1] = C[e.v - 1, e.u - 1] = c
-        u, v, at = layout.u, layout.v, layout.at
+        u, v, at, other = layout.u, layout.v, layout.at, layout.other
         s = C.sum(axis=1)
         t = s[u] + s[v]
         c = C[u, v]
         H = C[:, u] + C[:, v]  # H[x, b]: coefficients from x to the ends of b
         N = np.empty((dim, dim), dtype=dt)
         N[0, 0] = int(corner * R)
-        # disjoint pairs: wd . (1, t_a+t_b, c_a+c_b, H[u_a, b]+H[v_a, b], 0),
-        # with the first two statistics folded into g_a + g_b
+        # disjoint pairs: wd . (1, t_a+t_b, c_a+c_b, H[u_a, b]+H[v_a, b], 0)
+        # = G1[u_a, b] + G2[v_a, b] + g_a, with g = wd[1] t + wd[2] c.  The
+        # edges with u_a = x are the consecutive rows with v_a = x+1..n-1.
         g = wd[1] * t + wd[2] * c
-        for lo in range(0, E, ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, E)
+        G2 = wd[3] * H
+        G1 = G2 + g + wd[0]
+        lo = 0
+        for x in range(n - 1):
+            hi = lo + n - 1 - x
             block = N[1 + lo : 1 + hi, 1:]
-            np.add(H[u[lo:hi]], H[v[lo:hi]], out=block)
-            block *= wd[3]
+            np.add(G2[x + 1 :], G1[x], out=block)
             block += g[lo:hi, None]
-            block += g
-            block += wd[0]
-        # adjacent pairs (a, b) at x; the a == b entries this writes are
-        # overwritten by the diagonal below
-        a, b = at[:, :, None], at[:, None, :]
-        N[1 + a, 1 + b] = (
-            wa[0] + wa[1] * (t[a] + t[b]) + wa[2] * (c[a] + c[b])
-            + wa[3] * (H[u[a], b] + H[v[a], b]) + wa[4] * s[:, None, None]
-        )
+            lo = hi
+        # adjacent pairs a = xy, b = xz at x: (BCB^T)_ab = c_a + c_b + C[y, z]
+        # and (B diag(s) B^T)_ab = s_x, so the entry is
+        # wa[0] + wa[4] s_x + h_a + h_b + wa[3] C[y, z] with
+        # h = wa[1] t + (wa[2] + wa[3]) c.  The a == b entries this writes
+        # are overwritten by the diagonal below.
+        h = (wa[1] * t + (wa[2] + wa[3]) * c)[at]
+        adj = wa[3] * C[other[:, :, None], other[:, None, :]]
+        adj += h[:, :, None]
+        adj += h[:, None, :]
+        adj += (wa[0] + wa[4] * s)[:, None, None]
+        N[1 + at[:, :, None], 1 + at[:, None, :]] = adj
         # equal pairs: t_a+t_a, c_a+c_a, (BCB^T)_aa = 2 c_a, s_u + s_v = t_a
         diag = 1 + np.arange(E)
         N[diag, diag] = (
@@ -579,9 +590,24 @@ class ClosedFormK1(MomentMatrix):
         super().__init__(1, layout.basis, layout.labels, N, den * R, n=n)
 
     def star_kernel_verified(self) -> bool:
-        """Exact check that every vertex-degree relation annihilates the
-        matrix (2 on the constant coordinate, -1 on each edge at the vertex)."""
-        return self.annihilates(degree_relations(self.n))
+        """Exact check that every vertex-degree relation D_x (2 on the
+        constant coordinate, -1 on each edge at x) annihilates the matrix.
+
+        The check is D^T N = 0, row sums without BLAS: the rows of the
+        edges at x must add up to twice the constant row.  N is symmetric
+        by construction (every formula is symmetric in the two edges and
+        the constant row copies the diagonal), so this is N D = 0.  A sum
+        of n - 1 entries is exact in int64 while (n + 1) max|N| < 2^63,
+        and the check runs on Python ints beyond that.
+        """
+        N = self.N
+        if N.dtype != object and (self.n + 1) * self._max_abs >= 2**63:
+            N = N.astype(object)
+        twice = 2 * N[0]
+        return all(
+            np.array_equal(N[1 + edges_at_x].sum(axis=0), twice)
+            for edges_at_x in _edge_layout(self.n).at
+        )
 
 
 def closed_form_k1(f: LinearFunctional) -> ClosedFormK1:

@@ -2,7 +2,10 @@
 certificates.
 
 Membership of a functional in P_1 is decided on its closed-form degree-1
-moment matrix.  The decision pipeline, fastest first:
+moment matrix M = N / scale.  The functional's average over the tours,
+which must be 1, is read from the corner N[0, 0] / scale, and the degree
+relations are checked exactly against row sums of N.  The decision
+pipeline, fastest first:
 
 1. quotient out the kernel vectors read exactly from the integer
    numerators N, which reduces to a principal submatrix: one degree
@@ -15,7 +18,10 @@ moment matrix.  The decision pipeline, fastest first:
    facets and the subtour facets with |U| = 2, whose degree-1 boundary
    certificate is x_e or 1 - x_e, thus reach step 2 with a definite
    matrix and need no eigendecomposition;
-2. try a rigorous floating-point Cholesky certificate of definiteness;
+2. try a rigorous floating-point Cholesky certificate of definiteness on
+   one float matrix, the correctly rounded N / scale gathered on the kept
+   coordinates, which the Cholesky shifts in place (it is rebuilt only
+   when the certificate fails and step 3 needs it);
 3. if the reduced matrix is numerically singular, deflate exact kernel
    vectors reconstructed from the numerical nullspace (each one re-verified
    in exact integer arithmetic before use) and retry; if it is clearly
@@ -131,18 +137,20 @@ def _check_star_kernel(cf: ClosedFormK1) -> None:
         raise RuntimeError("degree relations not in matrix kernel")
 
 
+def require_unit_average(avg: Fraction) -> None:
+    """Refuse a functional whose average over X is not exactly 1."""
+    if avg != 1:
+        raise ValueError(f"membership requires average exactly 1 on X, got {avg}")
+
+
 def membership_p1(
     f: LinearFunctional, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> PsdVerdict:
     """Decide membership of f in the first relaxation, any n up to the cap."""
     if f.n > exact_cap:
         raise ResourceLimitError(f"n={f.n} exceeds exact membership cap {exact_cap}")
-    avg = average_on_x(f)
-    if avg != 1:
-        raise ValueError(
-            f"membership requires average exactly 1 on X, got {avg}"
-        )
     cf = closed_form_k1(f)
+    require_unit_average(cf.entry(0, 0))  # the average of f over X
     # cheap transcription tripwire; the kernel property itself is structural
     _check_star_kernel(cf)
     keep = _reduced_coordinates(cf)
@@ -204,18 +212,17 @@ def _pairing_vertex(
 def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:
     if not keep:
         return PsdVerdict("PSD", method="trivial")
-    A = cf.float_matrix(keep)
     err = cf.float_entry_error_bound()
-    if certified_pd(A, err):
+    if certified_pd(cf.float_matrix(keep), err):
         return PsdVerdict("PSD", method="certified-cholesky")
+    A = cf.float_matrix(keep)  # certified_pd shifted its copy
     evals, vecs = np.linalg.eigh(A)
     scale = max(1.0, float(np.max(np.abs(A))))
     lam_min = float(evals[0])
     if lam_min > -1e-7 * scale:
         sub_keep = _deflate_numerical_kernel(cf, keep, evals, vecs, scale)
         if sub_keep is not None:
-            B = cf.float_matrix(sub_keep)
-            if certified_pd(B, err):
+            if certified_pd(cf.float_matrix(sub_keep), err):
                 return PsdVerdict(
                     "PSD",
                     min_eigenvalue_estimate=lam_min,
@@ -302,9 +309,7 @@ def membership_pk_enumerated(
     basis_cap: int = DEFAULT_BASIS_CAP,
 ) -> PsdVerdict:
     """Exact membership decision on the full degree <= k moment matrix."""
-    avg = average_on_x(f)
-    if avg != 1:
-        raise ValueError(f"membership requires average exactly 1 on X, got {avg}")
+    require_unit_average(average_on_x(f))
     M = moment_matrix_enumerated_cycles(f.n, f, k, cycle_cap, basis_cap)
     return is_psd_exact(M)
 

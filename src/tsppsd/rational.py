@@ -28,6 +28,9 @@ def clear_denominators(
     rows: Sequence[Sequence[Fraction | int]],
 ) -> tuple[list[list[int]], int]:
     """Integer rows N and the least positive den with rows = N / den."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        for row in rows
+    ]
     den = math.lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den

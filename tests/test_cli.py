@@ -138,6 +138,21 @@ def test_membership_float_mode(tmp_path, capsys):
     assert data["tolerance"] == 1e-10
 
 
+def test_membership_refuses_average_other_than_one(tmp_path, capsys):
+    # 2 * ones has average 2 on X; --float refuses it as the exact path does
+    twice = {
+        "kind": "combination",
+        "terms": [{"scale": "2/1", "func": {"kind": "ones", "n": 6}}],
+    }
+    func = write_spec(tmp_path, twice)
+    for k in ("1", "2"):
+        for extra in ([], ["--float"]):
+            assert run(["membership", "--func", func, "--k", k, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: membership requires average exactly 1 on X, got 2\n"
+
+
 def test_membership_k2(tmp_path, capsys):
     func = write_spec(tmp_path, {"kind": "ones", "n": 6})
     code, out = invoke(["membership", "--func", func, "--k", "2"], capsys)

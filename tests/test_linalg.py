@@ -79,8 +79,8 @@ def test_zero_matrix_is_psd():
 
 def test_certified_pd_respects_entry_error():
     A = np.eye(3) * 1e-6
-    # honest tiny entries: certifiable
-    assert certified_pd(A, entry_error_bound=0.0)
+    # honest tiny entries: certifiable (certified_pd shifts its argument)
+    assert certified_pd(A.copy(), entry_error_bound=0.0)
     # a claimed conversion error larger than the smallest eigenvalue kills it
     assert not certified_pd(A, entry_error_bound=1e-5)
 
@@ -117,6 +117,20 @@ def test_certified_pd_decides_at_the_shift():
     assert not certified_pd(np.diag([1.0, 1.0, s0 / 2]))
     # a negative diagonal entry is never certified
     assert not certified_pd(np.array([[1.0, 0.0], [0.0, -1e-300]]))
+
+
+def test_certified_pd_shifts_its_argument_in_place():
+    # the argument holds fl(A - s I) afterwards, proved or not; a negative
+    # diagonal entry is refused before the shift
+    G = np.random.default_rng(4).standard_normal((40, 40))
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for A, proved in ((G @ G.T + np.eye(40), True), (indefinite, False)):
+        want = A.copy()
+        want.flat[:: len(A) + 1] -= cholesky_shift(A, 1e-17)
+        assert certified_pd(A, 1e-17) is proved
+        assert A.tobytes() == want.tobytes()
+    A = np.diag([1.0, -1.0])
+    assert not certified_pd(A) and A.tolist() == [[1.0, 0.0], [0.0, -1.0]]
 
 
 def test_integer_matmul_is_exact_in_every_regime():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -194,6 +195,20 @@ def test_star_kernel_all_n_up_to_40():
             assert closed_form_k1(f).star_kernel_verified(), n
 
 
+def test_corner_is_the_average():
+    # M[0, 0] is the average of f over X, on int64 and Python-int numerators
+    rng = random.Random(12)
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    dtypes = set()
+    for n in (3, 4, 7, 12, 25):
+        f = random_functional(n, rng)
+        for g in (f, combine(a, f, 1 - a, make_ones(n))):
+            cf = closed_form_k1(g)
+            dtypes.add(cf.N.dtype)
+            assert Fraction(cf.N[0, 0], cf.scale) == average_on_x(g)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
 def test_per_n_index_arrays_are_cached_and_read_only():
     n = 9
     D = degree_relations(n)
@@ -203,11 +218,15 @@ def test_per_n_index_arrays_are_cached_and_read_only():
         assert D[:, i - 1].tolist() == want
     layout = _edge_layout(n)
     assert _edge_layout(n) is layout
+    edges = all_edges(n)
     for x in range(n):
         assert sorted(layout.at[x].tolist()) == [
-            k for k, e in enumerate(all_edges(n)) if x + 1 in e
+            k for k, e in enumerate(edges) if x + 1 in e
         ]
-    for a in (D, layout.u, layout.v, layout.at):
+        assert [
+            edges[k].u + edges[k].v - x - 2 for k in layout.at[x].tolist()
+        ] == layout.other[x].tolist()
+    for a in (D, layout.u, layout.v, layout.at, layout.other):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -262,6 +281,14 @@ def test_float_matrix_is_correctly_rounded():
             assert M.to_float().tobytes() == want.tobytes()
             keep = [0, 3, 5, 9]
             assert M.float_matrix(keep).tobytes() == want[np.ix_(keep, keep)].tobytes()
+            if big:
+                # the error bound is the largest rounding error of an entry,
+                # one float up and then up until it is an upper bound
+                worst = max(abs(Fraction(float(x)) - x) for row in M.entries for x in row)
+                up = math.nextafter(float(worst), math.inf)
+                if Fraction(up) < worst:
+                    up = math.nextafter(up, math.inf)
+                assert M.float_entry_error_bound() == up
 
 
 def test_rows_constructor_clears_denominators_once():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tsppsd import cli
+from tsppsd import cli, psd
 from tsppsd.cycles import all_edges, edge, edge_index
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import (
@@ -22,6 +22,7 @@ from tsppsd.functionals import (
 )
 from tsppsd.linalg import certified_pd, exact_ldlt
 from tsppsd.moment import (
+    ClosedFormK1,
     GroundSet,
     MomentMatrix,
     closed_form_k1,
@@ -155,10 +156,61 @@ def test_membership_of_explicit_facets_at_n60():
 
 def test_membership_requires_average_one():
     f = combine(2, make_ones(6), 0, make_ones(6))
-    with pytest.raises(ValueError, match="2"):
+    with pytest.raises(ValueError, match="^membership requires average exactly 1 on X, got 2"):
         membership_p1(f)
-    with pytest.raises(ResourceLimitError):
-        membership_p1(make_ones(70), exact_cap=60)
+    # the size cap is checked first
+    for g in (make_ones(70), combine(2, make_ones(70), 0, make_ones(70))):
+        with pytest.raises(ResourceLimitError):
+            membership_p1(g, exact_cap=60)
+
+
+def with_numerators(cf, N):
+    """The closed-form matrix cf with its numerators replaced by N."""
+    bad = object.__new__(ClosedFormK1)
+    MomentMatrix.__init__(bad, 1, cf.basis, cf.labels, N, cf.scale, n=cf.n)
+    bad.f, bad.edges = cf.f, cf.edges
+    return bad
+
+
+def planted_faults():
+    # one wrong entry, off the diagonal without its mirror or in the
+    # constant row, on int64 and on Python-int numerators
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    big = combine(a, make_subtour(6, {1, 2}), 1 - a, make_ones(6))
+    for f in (make_subtour(6, {1, 2, 3}), big):
+        cf = closed_form_k1(f)
+        assert cf.star_kernel_verified()
+        for i, j in ((4, 9), (0, 7)):
+            N = cf.N.copy()
+            N[i, j] += 1
+            yield f, with_numerators(cf, N)
+
+
+def test_star_check_catches_a_planted_entry(monkeypatch, tmp_path):
+    dtypes = set()
+    for f, bad in planted_faults():
+        dtypes.add(bad.N.dtype)
+        assert not bad.star_kernel_verified()
+        monkeypatch.setattr(psd, "closed_form_k1", lambda g: bad)
+        with pytest.raises(RuntimeError, match="degree relations not in matrix kernel"):
+            membership_p1(f)
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps(functional_to_spec(f)))
+        assert cli.run(["membership", "--func", str(spec)]) == cli.EXIT_INTERNAL == 4
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_star_check_sums_exactly_near_the_int64_limit():
+    # 2^62 too much in one column of every edge row of the K_5 on vertices
+    # 1..5: each vertex sum is off by 4 * 2^62 = 2^64, which int64 sums
+    # would not see, so the check sums Python ints
+    n = 6
+    cf = closed_form_k1(make_subtour(n, {1, 2, 3}))
+    N = cf.N.copy()
+    rows = [1 + edge_index(edge(i, j), n) for i in range(1, 6) for j in range(i + 1, 6)]
+    N[rows, 7] += 2**62
+    assert N.dtype == np.int64
+    assert not with_numerators(cf, N).star_kernel_verified()
 
 
 def test_membership_rejects_beyond_dual_body():
