@@ -178,6 +178,8 @@ def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:
     place and holds fl(A - s I) on return, unless a negative diagonal entry
     made the call return False untouched.
     """
+    if A.dtype != np.float64:
+        raise TypeError(f"certified_pd needs a float64 array, got {A.dtype}")
     r = A.shape[0]
     if r == 0:
         return True

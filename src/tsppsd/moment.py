@@ -192,14 +192,13 @@ class MomentMatrix:
 
     def numerators(self, keep: Sequence[int] | None = None) -> np.ndarray:
         """N, or its principal submatrix on `keep`."""
-        return self.N if keep is None else self.N[np.ix_(keep, keep)]
+        return self.N if keep is None else self.N.take(keep, 0).take(keep, 1)
 
     def float_matrix(self, keep: Sequence[int] | None = None) -> np.ndarray:
         """Correctly rounded float64 entries, as a new array the caller owns."""
-        if self._float_exact:
-            N = self.N if keep is None else self.N.take(keep, 0).take(keep, 1)
-            return N / self.scale
         N = self.numerators(keep)
+        if self._float_exact:
+            return N / self.scale
         # Python int division rounds correctly at any size
         return (N.astype(object) / self.scale).astype(float)
 

@@ -2,10 +2,10 @@
 certificates.
 
 Membership of a functional in P_1 is decided on its closed-form degree-1
-moment matrix M = N / scale.  The functional's average over the tours,
-which must be 1, is read from the corner N[0, 0] / scale, and the degree
-relations are checked exactly against row sums of N.  The decision
-pipeline, fastest first:
+moment matrix M = N / scale.  The degree relations are checked exactly
+against row sums of N, which also checks the corner; then the functional's
+average over the tours, which must be 1, is read from N[0, 0] / scale.  The
+decision pipeline, fastest first:
 
 1. quotient out the kernel vectors read exactly from the integer
    numerators N, which reduces to a principal submatrix: one degree
@@ -150,9 +150,10 @@ def membership_p1(
     if f.n > exact_cap:
         raise ResourceLimitError(f"n={f.n} exceeds exact membership cap {exact_cap}")
     cf = closed_form_k1(f)
-    require_unit_average(cf.entry(0, 0))  # the average of f over X
-    # cheap transcription tripwire; the kernel property itself is structural
+    # cheap transcription tripwire; the kernel property itself is structural.
+    # It runs first: it also checks the corner read as the average below.
     _check_star_kernel(cf)
+    require_unit_average(cf.entry(0, 0))  # the average of f over X
     keep = _reduced_coordinates(cf)
     verdict = _decide_reduced(cf, keep)
     if verdict.witness is not None:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from tsppsd.linalg import (
     certified_pd,
     cholesky_shift,
@@ -117,6 +118,16 @@ def test_certified_pd_decides_at_the_shift():
     assert not certified_pd(np.diag([1.0, 1.0, s0 / 2]))
     # a negative diagonal entry is never certified
     assert not certified_pd(np.array([[1.0, 0.0], [0.0, -1e-300]]))
+
+
+def test_certified_pd_refuses_other_dtypes():
+    # the shift bounds float64 rounding, so a float32 or integer matrix is
+    # refused rather than factored in the wrong precision
+    for dtype in (np.float32, np.int64, object):
+        A = np.eye(3, dtype=dtype)
+        with pytest.raises(TypeError, match="certified_pd needs a float64 array"):
+            certified_pd(A)
+        assert A.tolist() == np.eye(3).tolist()
 
 
 def test_certified_pd_shifts_its_argument_in_place():

@@ -173,14 +173,15 @@ def with_numerators(cf, N):
 
 
 def planted_faults():
-    # one wrong entry, off the diagonal without its mirror or in the
-    # constant row, on int64 and on Python-int numerators
+    # one wrong entry, off the diagonal without its mirror, in the constant
+    # row or at the corner read as the average, on int64 and on Python-int
+    # numerators; the tripwire runs before the average is read
     a = Fraction(10**19 + 1, 10**19 + 3)
     big = combine(a, make_subtour(6, {1, 2}), 1 - a, make_ones(6))
     for f in (make_subtour(6, {1, 2, 3}), big):
         cf = closed_form_k1(f)
         assert cf.star_kernel_verified()
-        for i, j in ((4, 9), (0, 7)):
+        for i, j in ((4, 9), (0, 7), (0, 0)):
             N = cf.N.copy()
             N[i, j] += 1
             yield f, with_numerators(cf, N)
