@@ -20,8 +20,11 @@ Two engines:
   conversion error, the exact matrix is PD.  Failure proves nothing and
   callers fall back to `exact_ldlt`.
 
-`exact_ldlt` is the only exact elimination: ranks of integer vector
-families are the Bareiss ranks of their Gram matrices.
+`exact_ldlt` is the only exact elimination over the integers: ranks of
+integer vector families are the Bareiss ranks of their Gram matrices.
+`nonsingular_block` picks the pivots of a structural relation matrix by
+elimination modulo a prime, once per matrix; the nonzero determinant mod p
+that it finds proves the pivot block nonsingular.
 
 Floating-point eigenvalues, where a caller needs them, come from LAPACK
 (`np.linalg.eigh` / `eigvalsh`).
@@ -130,6 +133,45 @@ def exact_ldlt(matrix: Rows) -> LdltResult:
                     return LdltResult(False, len(trail), pull_back(w))
         break
     return LdltResult(True, len(trail), None)
+
+
+PIVOT_PRIME = 1_000_003  # p^2 times any row count up to 2^13 fits int64
+
+
+def nonsingular_block(
+    R: np.ndarray, priority: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Rows P and columns Q of the integer matrix R with R[P, Q] square and
+    nonsingular, and |Q| the rank of R modulo the prime `PIVOT_PRIME`.
+
+    Gaussian elimination modulo p: the columns are taken in order, a column
+    independent mod p of those taken joins Q, and its pivot row is the first
+    row in `priority` (a permutation of the rows) where its reduced form is
+    nonzero.  The reduced columns B = R[:, Q] T, with T invertible mod p,
+    are kept at the identity on the pivot rows, so R[P, Q] T = I mod p and
+    det R[P, Q] is nonzero mod p, hence nonzero: the selection is its own
+    exact proof.
+    """
+    p = PIVOT_PRIME
+    d, c = R.shape
+    rank_of = np.empty(d, dtype=np.int64)
+    rank_of[np.asarray(priority)] = np.arange(d)
+    B = np.zeros((d, min(d, c)), dtype=np.int64)
+    P: list[int] = []
+    Q: list[int] = []
+    for j in range(c):
+        r = len(P)
+        x = (R[:, j] - B[:, :r] @ (R[P, j] % p)) % p
+        nz = np.flatnonzero(x)
+        if nz.size == 0:
+            continue
+        i = int(nz[np.argmin(rank_of[nz])])
+        x = x * pow(int(x[i]), -1, p) % p
+        B[:, :r] = (B[:, :r] - np.outer(x, B[i, :r])) % p
+        B[:, r] = x
+        P.append(i)
+        Q.append(j)
+    return P, Q
 
 
 UNIT_ROUNDOFF = Fraction(1, 2**53)  # u of IEEE-754 binary64

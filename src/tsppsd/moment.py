@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,13 +40,15 @@ from tsppsd.cycles import (
     Edge,
     all_edges,
     count_cycles_with_edge_set,
+    edge,
+    edge_index,
     enumerate_cycles,
     factorial,
     num_cycles,
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import LinearFunctional
-from tsppsd.linalg import integer_matmul
+from tsppsd.linalg import integer_matmul, nonsingular_block
 from tsppsd.polynomials import CertificatePolynomial
 from tsppsd.rational import clear_denominators, format_fraction
 
@@ -237,8 +240,23 @@ class MomentMatrix:
         return Fraction(sum(a * b for a, b in zip(Nv, v)), self.scale)
 
     def zero_rows(self) -> list[int]:
-        """Indices whose entire row is exactly zero."""
-        return np.flatnonzero(~(self.N != 0).any(axis=1)).tolist()
+        """Indices whose entire row is exactly zero.  Such a row has
+        N[i, i] = 0, so whole rows are tested only where the diagonal is 0."""
+        N = self.N
+        cand = np.flatnonzero(N.diagonal() == 0)
+        return [i for i in cand.tolist() if not np.count_nonzero(N[i])]
+
+    def equal_rows(self) -> list[list[int]]:
+        """Classes of at least two indices whose rows are exactly equal and
+        not zero, each class and the list in increasing order."""
+        N = self.N
+        key = (lambda i: N[i].tobytes()) if N.dtype != object else (
+            lambda i: tuple(N[i].tolist())
+        )
+        classes: dict[object, list[int]] = {}
+        for i in np.flatnonzero(np.count_nonzero(N, axis=1)).tolist():
+            classes.setdefault(key(i), []).append(i)
+        return [c for c in classes.values() if len(c) > 1]
 
     def constant_row_copies(self) -> list[int]:
         """Indices i >= 1 whose row equals row 0 exactly.  By symmetry such
@@ -471,15 +489,105 @@ def _edge_layout(n: int) -> _EdgeLayout:
 
 
 @functools.lru_cache(maxsize=64)
+def tour_relations(n: int, k: int) -> np.ndarray:
+    """Read-only integer matrix whose columns are polynomials of degree <= k
+    that vanish on every tour of K_n, on the enumerated monomial basis of its
+    edges, so that every degree-k moment matrix over the tours annihilates
+    them.  In this order:
+
+    * x_e^2 m - x_e m, a repeated edge collapsing, for each monomial m of
+      degree <= k - 2 and each edge e;
+    * D_v m for each monomial m of degree <= k - 1 and each vertex v, where
+      D_v = 2 - sum_{e at v} x_e is the vertex-degree relation.
+
+    At k = 1 these are the n degree relations, `degree_relations(n)`.
+    """
+    edges = all_edges(n)
+    basis = monomial_basis(len(edges), k, cap=sys.maxsize)
+    index = {m: i for i, m in enumerate(basis)}
+
+    def times(m: Monomial, *es: int) -> int:
+        return index[tuple(sorted(m + es))]
+
+    cols: list[dict[int, int]] = [
+        {times(m, e, e): 1, times(m, e): -1}
+        for m in basis
+        if len(m) <= k - 2
+        for e in range(len(edges))
+    ]
+    at = _edge_layout(n).at.tolist()
+    for m in basis:
+        if len(m) < k:
+            for edges_at_v in at:
+                col = {index[m]: 2}
+                col.update((times(m, e), -1) for e in edges_at_v)
+                cols.append(col)
+    R = np.zeros((len(basis), len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        R[list(col), j] = list(col.values())
+    return _read_only(R)
+
+
+@dataclass(frozen=True)
+class RelationComplement:
+    """Pivots of the structural relations of the degree-k moment matrices
+    over the tours of K_n, shared by every such matrix.  The arrays are
+    read-only.
+
+    `relations` is R = `tour_relations(n, k)`, and R[P, Q] is square and
+    nonsingular for the rows P = `pivots` and the columns Q = `columns`
+    (`linalg.nonsingular_block`, which proves it).  P is chosen for pairing
+    vertex 1: it prefers the monomials with a repeated edge, then those with
+    more factors at vertex 1, then those of lower degree, so at k = 1 it is
+    the constant and the edges at vertex 1.  Row w - 1 of `relabel` maps
+    each basis index to its image under the transposition of the vertices 1
+    and w.  A vertex relabeling permutes the relations and keeps R[P, Q], so
+    it carries the complement to one at pairing vertex w.
+    """
+
+    relations: np.ndarray
+    pivots: np.ndarray
+    columns: np.ndarray
+    relabel: np.ndarray
+
+    def pivots_at(self, w: int) -> np.ndarray:
+        """The pivot rows P at pairing vertex w."""
+        return self.relabel[w - 1][self.pivots]
+
+    def relations_at(self, w: int) -> np.ndarray:
+        """The relations R[:, Q] at pairing vertex w.  The relabeling is an
+        involution, so it is its own inverse on the rows."""
+        return self.relations.take(self.relabel[w - 1], 0).take(self.columns, 1)
+
+
+@functools.lru_cache(maxsize=16)
+def relation_complement(n: int, k: int) -> RelationComplement:
+    """The complement of the degree-k tour relations of K_n, built once."""
+    edges = all_edges(n)
+    basis = monomial_basis(len(edges), k, cap=sys.maxsize)
+
+    def preference(i: int) -> tuple[bool, int, int]:
+        m = basis[i]
+        return len(set(m)) == len(m), -sum(1 in edges[c] for c in m), len(m)
+
+    R = tour_relations(n, k)
+    P, Q = nonsingular_block(R, sorted(range(len(basis)), key=preference))
+    index = {m: i for i, m in enumerate(basis)}
+    relabel = np.empty((n, len(basis)), dtype=np.int64)
+    for w in range(1, n + 1):
+        swap = {1: w, w: 1}
+        image = [edge_index(edge(swap.get(u, u), swap.get(v, v)), n) for u, v in edges]
+        relabel[w - 1] = [index[tuple(sorted(image[c] for c in m))] for m in basis]
+    return RelationComplement(
+        R, *map(_read_only, (np.array(P), np.array(Q), relabel))
+    )
+
+
 def degree_relations(n: int) -> np.ndarray:
     """Read-only integer matrix whose column i-1 is the vertex-degree
     relation at i in the degree-1 basis: 2 on the constant, -1 on each edge
     at i."""
-    at = _edge_layout(n).at
-    D = np.zeros((1 + n * (n - 1) // 2, n), dtype=np.int64)
-    D[0] = 2
-    D[1 + at, np.arange(n)[:, None]] = -1
-    return _read_only(D)
+    return tour_relations(n, 1)
 
 
 class ClosedFormK1(MomentMatrix):
@@ -579,7 +687,9 @@ class ClosedFormK1(MomentMatrix):
         adj += h[:, :, None]
         adj += h[:, None, :]
         adj += (wa[0] + wa[4] * s)[:, None, None]
-        N[1 + at[:, :, None], 1 + at[:, None, :]] = adj
+        # scattered through flat indices into N, which is contiguous
+        rows = (1 + at) * dim
+        N.reshape(-1)[rows[:, :, None] + (1 + at)[:, None, :]] = adj
         # equal pairs: t_a+t_a, c_a+c_a, (BCB^T)_aa = 2 c_a, s_u + s_v = t_a
         diag = 1 + np.arange(E)
         N[diag, diag] = (

@@ -1,23 +1,36 @@
 """Positive-semidefiniteness decisions, membership in P_k, and boundary
 certificates.
 
-Membership of a functional in P_1 is decided on its closed-form degree-1
-moment matrix M = N / scale.  The degree relations are checked exactly
-against row sums of N, which also checks the corner; then the functional's
-average over the tours, which must be 1, is read from N[0, 0] / scale.  The
-decision pipeline, fastest first:
+Membership of a functional in P_k is decided on its degree-k moment matrix
+M = N / scale, in one pipeline for every k: the kernel vectors known
+exactly are quotiented out, which reduces M to a principal submatrix, and
+`_decide_reduced` decides that block.  There are two builders.
+`membership_p1` takes the closed-form degree-1 matrix, at any n up to the
+cap; `membership_pk_enumerated` takes the matrix of any degree k over the
+enumerated tours, up to the cycle cap.  The pipeline, fastest first:
 
-1. quotient out the kernel vectors read exactly from the integer
-   numerators N, which reduces to a principal submatrix: one degree
-   relation per vertex, the unit x_e of each zero row, and 1 - x_e for
-   each edge row equal to the constant row (a copy).  The degree relations
-   pair with the constant and the edges at the first vertex that no zero
-   row or copy touches; the pairing is nonsingular unless there are
-   exactly n - 2 copies, and then, or when every vertex is touched, the
-   edges at vertex 1 are dropped with the zero rows only.  The edge-bound
-   facets and the subtour facets with |U| = 2, whose degree-1 boundary
-   certificate is x_e or 1 - x_e, thus reach step 2 with a definite
-   matrix and need no eigendecomposition;
+1. quotient out the kernel vectors known exactly:
+
+   * k = 1, closed form: the degree relations are checked exactly against
+     row sums of N, which also checks the corner; then the functional's
+     average over the tours, which must be 1, is read from N[0, 0] / scale.
+     The kernel vectors are one degree relation per vertex, the unit x_e of
+     each zero row, and 1 - x_e for each edge row equal to the constant row
+     (a copy).  The degree relations pair with the constant and the edges
+     at the first vertex that no zero row or copy touches; the pairing is
+     nonsingular unless there are exactly n - 2 copies, and then, or when
+     every vertex is touched, the edges at vertex 1 are dropped with the
+     zero rows only.  The edge-bound facets and the subtour facets with
+     |U| = 2, whose degree-1 boundary certificate is x_e or 1 - x_e, thus
+     reach step 2 with a definite matrix and need no eigendecomposition;
+   * any k, enumerated: the structural relations of `moment.tour_relations`
+     (a repeated edge collapses, x_e^2 m = x_e m, and each degree relation
+     times each monomial of degree <= k - 1), with a pivot block proved
+     nonsingular once per (n, k) and relabeled to a pairing vertex, checked
+     exactly with `annihilates` on every call; then the unit vector of each
+     zero row and e_i - e_j for each repeated row, read from N off the
+     pivots.  At n = 8, k = 2 this takes the 435-dimensional matrix of the
+     all-ones functional to its rank, 203;
 2. try a rigorous floating-point Cholesky certificate of definiteness on
    one float matrix, the correctly rounded N / scale gathered on the kept
    coordinates, which the Cholesky shifts in place (it is rebuilt only
@@ -35,14 +48,17 @@ decision pipeline, fastest first:
 
 Every PSD verdict is therefore backed by either an exact elimination or a
 rigorous floating-point proof; every NOT_PSD verdict carries an exact
-integer witness vector.  Verdicts do not depend on the machine.  A witness
-from step 3 comes from LAPACK, so the vector itself is deterministic per
-machine only.
+integer witness vector on the whole matrix, zero on the dropped
+coordinates.  `PsdVerdict.method` names the step that decided.  Verdicts
+do not depend on the machine.  A witness from step 3 comes from LAPACK, so
+the vector itself is deterministic per machine only.  `is_psd_exact`
+(Bareiss on the whole matrix) and `is_psd_float` (a tolerance verdict)
+decide a given matrix without the quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,6 +81,7 @@ from tsppsd.moment import (
     closed_form_k1,
     moment_matrix_enumerated_cycles,
     quadratic_form_value,
+    relation_complement,
     zero_one_certificate,
 )
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
@@ -72,10 +89,11 @@ from tsppsd.rational import clear_denominators
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
-# Largest reduced dimension r on which `membership_p1` runs exact Bareiss
-# (r = 190 at n = 21).  Its cost grows about as r^5: on a 2-CPU Xeon
-# r = 171 (n = 20) takes 3.4 s and r = 253 (n = 24) 24 s, and r = 1711
-# (n = 60) would take days.
+# Largest reduced dimension r on which the membership decisions run exact
+# Bareiss: r = 190 at n = 21 for k = 1, and every k = 2 block up to n = 7
+# (r <= 99).  Its cost grows about as r^5: on a 2-CPU Xeon r = 171
+# (n = 20) takes 3.4 s and r = 253 (n = 24) 24 s, and r = 1711 (n = 60)
+# would take days.
 EXACT_FALLBACK_CAP = 200
 
 
@@ -155,18 +173,18 @@ def membership_p1(
     _check_star_kernel(cf)
     require_unit_average(cf.entry(0, 0))  # the average of f over X
     keep = _reduced_coordinates(cf)
-    verdict = _decide_reduced(cf, keep)
-    if verdict.witness is not None:
-        full = [0] * cf.dim
-        for pos, i in enumerate(keep):
-            full[i] = verdict.witness[pos]
-        verdict = PsdVerdict(
-            verdict.status,
-            witness=tuple(full),
-            min_eigenvalue_estimate=verdict.min_eigenvalue_estimate,
-            method=verdict.method,
-        )
-    return verdict
+    return _lifted(_decide_reduced(cf, keep), keep, cf.dim)
+
+
+def _lifted(verdict: PsdVerdict, keep: list[int], dim: int) -> PsdVerdict:
+    """The verdict on the kept block as a verdict on the whole matrix: a
+    witness is padded with zeros on the dropped coordinates."""
+    if verdict.witness is None:
+        return verdict
+    full = [0] * dim
+    for pos, i in enumerate(keep):
+        full[i] = verdict.witness[pos]
+    return replace(verdict, witness=tuple(full))
 
 
 def _reduced_coordinates(cf: ClosedFormK1) -> list[int]:
@@ -309,10 +327,50 @@ def membership_pk_enumerated(
     cycle_cap: int = DEFAULT_CYCLE_CAP,
     basis_cap: int = DEFAULT_BASIS_CAP,
 ) -> PsdVerdict:
-    """Exact membership decision on the full degree <= k moment matrix."""
+    """Decide membership of f in the degree-k relaxation on its full
+    enumerated degree <= k moment matrix, through `_decide_reduced`."""
     require_unit_average(average_on_x(f))
     M = moment_matrix_enumerated_cycles(f.n, f, k, cycle_cap, basis_cap)
-    return is_psd_exact(M)
+    keep = _structural_quotient(M)
+    return _lifted(_decide_reduced(M, keep), keep, M.dim)
+
+
+def _structural_quotient(M: MomentMatrix) -> list[int]:
+    """Coordinates of a complement of the kernel vectors of the enumerated
+    tour moment matrix M that are known exactly.
+
+    They are the structural relations R[:, Q] of `relation_complement`, with
+    pivots P, at a pairing vertex w, and, read from N outside P, the unit
+    vector of each zero row and e_i - e_j for each row i equal to an earlier
+    row j (N is symmetric by construction).  The vectors read from N vanish
+    on P, so their matrix on the pivots (P, the zero rows, the later rows of
+    each class) is block triangular with R[P, Q] and identities on the
+    diagonal, hence nonsingular, and needs no proof per call.  As at k = 1,
+    every vector is then a kept vector plus a kernel vector, and a certified
+    PD kept block proves M PSD.  A pivot on a zero row or on a row of a
+    class loses that kernel vector, so w is the first vertex that drops the
+    most coordinates.  Raises RuntimeError if M does not annihilate R[:, Q]:
+    the property is structural, so a failure means a transcription bug.
+    """
+    rc = relation_complement(M.n, M.k)
+    zero = M.zero_rows()
+    classes = M.equal_rows()
+
+    def dropped(w: int) -> np.ndarray:
+        drop = np.zeros(M.dim, dtype=bool)
+        drop[rc.pivots_at(w)] = True
+        for members in classes:  # disjoint, and without zero rows
+            drop[[i for i in members if not drop[i]][1:]] = True
+        drop[zero] = True
+        return drop
+
+    w, drop = max(
+        ((w, dropped(w)) for w in range(1, M.n + 1)),
+        key=lambda t: np.count_nonzero(t[1]),
+    )
+    if not M.annihilates(rc.relations_at(w)):
+        raise RuntimeError("structural relations not in matrix kernel")
+    return np.flatnonzero(~drop).tolist()
 
 
 def boundary_certificate(spec: FacetSpec) -> CertificatePolynomial:

@@ -26,14 +26,18 @@ from tsppsd.moment import (
     GroundSet,
     MomentMatrix,
     closed_form_k1,
+    degree_relations,
     moment_matrix_closed_form_k1,
     moment_matrix_enumerated_cycles,
+    relation_complement,
+    tour_relations,
 )
 from tsppsd.psd import (
     EXACT_FALLBACK_CAP,
     _decide_reduced,
     _pairing_vertex,
     _reduced_coordinates,
+    _structural_quotient,
     boundary_certificate,
     is_psd_exact,
     is_psd_float,
@@ -491,3 +495,127 @@ def test_facet_mix_inside_q_stays_psd_k2():
     for _ in range(2):
         acc = random_facet_mix(6, rng)
         assert membership_pk_enumerated(acc, 2).is_psd
+
+
+def benchmark_facets(n, verts):
+    """The facet kinds of the benchmark grid that fit K_n (ones, |U| = 2,
+    n/4 and n/2 subtours, both edge bounds, the 2-matching with |F| = 3),
+    labelled by the vertex order verts."""
+    yield make_ones(n)
+    for m in sorted({2, n // 4, n // 2}):
+        if 2 <= m <= n - 2:
+            yield make_subtour(n, verts[:m])
+    yield make_edge_bound(n, edge(*verts[:2]), "lower")
+    yield make_edge_bound(n, edge(*verts[:2]), "upper")
+    if n >= 6:
+        yield make_two_matching(
+            n, verts[:3], [edge(verts[i], verts[3 + i]) for i in range(3)]
+        )
+
+
+def test_k2_verdicts_match_bareiss_on_the_full_matrix():
+    # the reduced pipeline against fraction-free Bareiss on the whole
+    # enumerated degree-2 matrix; witnesses checked on the whole matrix
+    rng = random.Random(9)
+    for n in (5, 6):
+        a = math.isqrt(n) + 1
+        fs = [f for verts in (list(range(1, n + 1)), list(range(n, 0, -1)))
+              for f in benchmark_facets(n, verts)]
+        fs += [combine(a, make_subtour(n, U), 1 - a, make_ones(n))
+               for U in ({1, 2, 3}, {n - 2, n - 1, n})]
+        fs += [random_facet_mix(n, rng) for _ in range(3)]
+        statuses = set()
+        for f in fs:
+            verdict = membership_pk_enumerated(f, 2)
+            M = moment_matrix_enumerated_cycles(n, f, 2)
+            full = exact_ldlt(M.numerators().tolist())  # `is_psd_exact`
+            assert verdict.is_psd == full.is_psd
+            if verdict.is_psd:
+                # the quotient drops only kernel directions: the kept block
+                # keeps the rank of M
+                keep = _structural_quotient(M)
+                assert exact_ldlt(M.numerators(keep).tolist()).rank == full.rank
+            else:
+                assert M.quadratic_form(verdict.witness) < 0
+            statuses.add(verdict.status)
+        assert statuses == {"PSD", "NOT_PSD"}
+
+
+def test_relation_complement_is_cached_read_only_and_nonsingular():
+    for n in range(4, 8):
+        rc = relation_complement(n, 2)
+        assert relation_complement(n, 2) is rc
+        R, P, Q = rc.relations, rc.pivots, rc.columns
+        assert R is tour_relations(n, 2) and len(P) == len(Q)
+        for a in (R, P, Q, rc.relabel):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        # the Bareiss rank of the Gram matrix confirms the proof mod p
+        A = R[P][:, Q]
+        assert exact_ldlt((A.T @ A).tolist()).rank == len(P)
+        # every vertex relabeling keeps the block: the relabeled relations
+        # vanish on the tours and have the same block on the moved pivots
+        M = moment_matrix_enumerated_cycles(n, make_ones(n), 2)
+        for w in (1, n):
+            relations, pivots = rc.relations_at(w), rc.pivots_at(w)
+            assert M.annihilates(relations)
+            assert np.array_equal(relations[pivots], A)
+    # at k = 1: the degree relations, paired with the constant and the edges
+    # at the pairing vertex
+    n = 7
+    rc = relation_complement(n, 1)
+    assert np.array_equal(rc.relations, degree_relations(n))
+    for w in range(1, n + 1):
+        at_w = [1 + edge_index(edge(w, j), n) for j in range(1, n + 1) if j != w]
+        assert sorted(rc.pivots_at(w).tolist()) == [0] + sorted(at_w)
+
+
+def planted_enumerated_faults():
+    # one wrong entry off the diagonal without its mirror, in the constant
+    # row, or at the corner, on int64 and on Python-int numerators
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    big = combine(a, make_subtour(5, {1, 2}), 1 - a, make_ones(5))
+    for f in (make_subtour(5, {1, 2, 3}), big):
+        M = moment_matrix_enumerated_cycles(5, f, 2)
+        for i, j in ((4, 30), (0, 12), (0, 0)):
+            N = M.N.copy()
+            N[i, j] += 1
+            yield f, MomentMatrix(2, M.basis, M.labels, N, M.scale, n=5)
+
+
+def test_relation_check_catches_a_planted_entry(monkeypatch, tmp_path):
+    dtypes = set()
+    for f, bad in planted_enumerated_faults():
+        dtypes.add(bad.N.dtype)
+        monkeypatch.setattr(psd, "moment_matrix_enumerated_cycles", lambda *a: bad)
+        with pytest.raises(RuntimeError, match="structural relations not in matrix kernel"):
+            membership_pk_enumerated(f, 2)
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps(functional_to_spec(f)))
+        argv = ["membership", "--func", str(spec), "--k", "2"]
+        assert cli.run(argv) == cli.EXIT_INTERNAL == 4
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_k2_at_n8_without_bareiss(monkeypatch):
+    # Bareiss on the 435-dimensional matrix takes over a minute; the reduced
+    # pipeline decides these without it
+    def no_bareiss(rows):
+        raise AssertionError("exact elimination in the k = 2 decision")
+
+    monkeypatch.setattr(psd, "exact_ldlt", no_bareiss)
+    n = 8
+    for f in (
+        make_ones(n),
+        make_subtour(n, {1, 2, 3}),
+        make_subtour(n, {1, 2}),
+        make_edge_bound(n, edge(1, 2), "lower"),
+        make_edge_bound(n, edge(1, 2), "upper"),
+    ):
+        assert membership_pk_enumerated(f, 2).status == "PSD"
+    a = math.isqrt(n) + 1
+    f = combine(a, make_subtour(n, {1, 2, 3}), 1 - a, make_ones(n))
+    verdict = membership_pk_enumerated(f, 2)
+    assert verdict.status == "NOT_PSD"
+    M = moment_matrix_enumerated_cycles(n, f, 2)
+    assert M.dim == 435 and M.quadratic_form(verdict.witness) < 0
