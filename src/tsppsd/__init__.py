@@ -23,11 +23,13 @@ from tsppsd.cycles import (
     Edge,
     HamiltonianCycle,
     PathSystem,
+    TourArray,
     count_cycles_containing,
     count_cycles_with_edge_set,
     edge,
     enumerate_cycles,
     num_cycles,
+    tour_array,
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import (
@@ -82,6 +84,7 @@ __all__ = [
     "PathSystem",
     "PsdVerdict",
     "ResourceLimitError",
+    "TourArray",
     "average_on_x",
     "bound_oracle",
     "bound_report",
@@ -116,6 +119,7 @@ __all__ = [
     "residual_pair",
     "sqrt_n_nonpositivity",
     "theorem1_constants",
+    "tour_array",
     "trace_of",
     "verify_certificate",
     "verify_eigenpairs_exact",

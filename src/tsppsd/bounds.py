@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from tsppsd.cycles import (
     DEFAULT_CYCLE_CAP,
     Edge,
     HamiltonianCycle,
     edge,
-    enumerate_cycles,
     factorial,
+    tour_array,
 )
 
 
@@ -143,14 +145,15 @@ def lemma_bound(b: int | Fraction, c: int | Fraction, n: int) -> Fraction:
 
 
 def proposition_bound(n: int, k: int) -> Fraction:
-    """Closed-form lower bound for f(y) over f in P_k, parity-dispatched."""
+    """Closed-form lower bound -n/k + 1 - n (k-1) / (k den) for f(y) over f
+    in P_k, with den parity-dispatched, normalized once."""
     if not (1 <= k <= n // 2):
         raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={n}")
     if n % 2 == 0:
         den = n**2 - k * n - 3 * n + k + 3
     else:
         den = n**2 - n * k - 4 * n + 4 + 2 * k
-    return Fraction(-n, k) + 1 - Fraction(n * (k - 1), k * den)
+    return Fraction((k - n) * den - n * (k - 1), k * den)
 
 
 @dataclass(frozen=True)
@@ -167,18 +170,20 @@ class BoundReport:
 
 def bound_report(n: int, k: int) -> BoundReport:
     """Assemble the counts, the bound, and a_k = n/k + alpha_k; the count
-    route and the closed form must agree exactly."""
+    route and the closed form must agree exactly.  They are compared in
+    integers: -b (n-1) / (2 (c - b)) = p/q iff -b (n-1) q = 2 (c - b) p."""
     if n % 2 == 0:
         b, c = f_counts(n, k)
     else:
         b, c = g_counts(n, k)
-    bound = lemma_bound(b, c, n)
     prop = proposition_bound(n, k)
-    if bound != prop:
+    p, q = prop.numerator, prop.denominator
+    if not (0 < b < c) or -b * (n - 1) * q != 2 * (c - b) * p:
+        bound = lemma_bound(b, c, n)  # raises ValueError unless 0 < b < c
         raise RuntimeError(f"count bound {bound} != closed form {prop} at n={n}, k={k}")
-    a_k = 1 - bound
+    a_k = 1 - prop
     return BoundReport(
-        n, k, "even" if n % 2 == 0 else "odd", b, c, bound, a_k, a_k - Fraction(n, k)
+        n, k, "even" if n % 2 == 0 else "odd", b, c, prop, a_k, a_k - Fraction(n, k)
     )
 
 
@@ -205,11 +210,9 @@ def bound_oracle(
     k-subset I of Gamma, the number of tours containing I and e."""
     if y.n != n:
         raise ValueError(f"cycle has n={y.n}, requested n={n}")
-    cycles = enumerate_cycles(n, cycle_cap)
-    cycle_edges = [c.edges for c in cycles]
+    tours = tour_array(n, cycle_cap)
     total = 0
     for gamma in eo_subsets(y):
         for I in combinations(sorted(gamma.edges), k):
-            need = set(I) | {e}
-            total += sum(1 for ce in cycle_edges if need <= ce)
+            total += int(np.count_nonzero(tours.containing({*I, e})))
     return total

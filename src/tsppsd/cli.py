@@ -25,7 +25,7 @@ from tsppsd.cycles import (
     HamiltonianCycle,
     count_cycles_with_edge_set,
     edge,
-    enumerate_cycles,
+    tour_array,
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, functional_from_spec
@@ -107,17 +107,15 @@ def cmd_cycles(cfg: RunConfig, contains: str | None, count_only: bool) -> int:
         count = count_cycles_with_edge_set(n, edges)
         _emit(cfg, {"n": n, "contains": contains or "", "count": str(count)})
         return EXIT_OK
-    cycles = enumerate_cycles(n, cfg.cycle_cap)
-    if edges:
-        need = set(edges)
-        cycles = [c for c in cycles if need <= c.edges]
+    tours = tour_array(n, cfg.cycle_cap)
+    orders = tours.orders[tours.containing(edges)]
     _emit(
         cfg,
         {
             "n": n,
             "contains": contains or "",
-            "count": str(len(cycles)),
-            "cycles": ["-".join(map(str, c.order)) for c in cycles],
+            "count": str(len(orders)),
+            "cycles": ["-".join(map(str, o)) for o in orders.tolist()],
         },
     )
     return EXIT_OK

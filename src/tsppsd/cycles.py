@@ -5,6 +5,10 @@ second entry is smaller than its last entry, which picks one representative
 out of the two traversal directions.  The closed-form counter implements the
 path-block argument: a system of m vertex-disjoint paths with k edges in
 total lies in exactly 2^(m-1) * (n-k-1)! Hamiltonian cycles.
+
+The enumeration is built once per n as read-only arrays (`tour_array`):
+every consumer that sums or counts over tours reads them, and
+`enumerate_cycles` wraps their rows as `HamiltonianCycle` objects.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from tsppsd.errors import ResourceLimitError
 
@@ -115,17 +121,74 @@ def canonical_cycle(order: Iterable[int]) -> HamiltonianCycle:
     return HamiltonianCycle(tuple(o))
 
 
-def enumerate_cycles(n: int, cap: int = DEFAULT_CYCLE_CAP) -> list[HamiltonianCycle]:
-    """All (n-1)!/2 canonical tours of K_n in lexicographic permutation order."""
+@dataclass(frozen=True)
+class TourArray:
+    """The canonical tours of K_n in lexicographic permutation order, as
+    read-only arrays with one row per tour:
+
+    * `orders`, |X| x n: the vertex order of the tour;
+    * `edges`, |X| x n uint8: the sorted lexicographic indices of its edges.
+    """
+
+    n: int
+    orders: np.ndarray
+    edges: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def containing(
+        self, present: Iterable[Edge], absent: Iterable[Edge] = ()
+    ) -> np.ndarray:
+        """Boolean mask of the tours that contain every edge of `present`
+        and no edge of `absent`.  No tour contains an edge outside K_n."""
+        n = self.n
+        E = n * (n - 1) // 2
+        need = np.zeros(E, dtype=bool)
+        for e in present:
+            if not 1 <= e.u < e.v <= n:
+                return np.zeros(len(self), dtype=bool)
+            need[edge_index(e, n)] = True
+        bar = np.zeros(E, dtype=bool)
+        bar[[edge_index(e, n) for e in absent if 1 <= e.u < e.v <= n]] = True
+        # the edges of a tour are distinct, so it holds every needed edge
+        # iff it holds as many of them as there are
+        hits = np.count_nonzero(need[self.edges], axis=1)
+        return (hits == np.count_nonzero(need)) & ~bar[self.edges].any(axis=1)
+
+
+def tour_array(n: int, cap: int = DEFAULT_CYCLE_CAP) -> TourArray:
+    """All (n-1)!/2 canonical tours of K_n, built once per n."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if n > cap:
         raise ResourceLimitError(f"n={n} exceeds enumeration cap {cap}")
-    out = []
-    for rest in itertools.permutations(range(2, n + 1)):
-        if rest[0] < rest[-1]:
-            out.append(HamiltonianCycle((1,) + rest))
-    return out
+    return _tours(n)
+
+
+@lru_cache(maxsize=16)
+def _tours(n: int) -> TourArray:
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(2, n + 1))),
+        dtype=np.uint8,
+        count=factorial(n - 1) * (n - 1),
+    ).reshape(-1, n - 1)
+    # one direction of each tour: the second vertex below the last
+    rest = perms[perms[:, 0] < perms[:, -1]]
+    orders = np.hstack([np.ones((len(rest), 1), dtype=np.uint8), rest])
+    a = orders.astype(np.int64)
+    b = np.roll(a, -1, axis=1)
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    idx = (u - 1) * (2 * n - u) // 2 + (v - u - 1)  # edge_index, elementwise
+    edges = np.sort(idx, axis=1).astype(np.uint8)
+    orders.flags.writeable = False
+    edges.flags.writeable = False
+    return TourArray(n, orders, edges)
+
+
+def enumerate_cycles(n: int, cap: int = DEFAULT_CYCLE_CAP) -> list[HamiltonianCycle]:
+    """All (n-1)!/2 canonical tours of K_n in lexicographic permutation order."""
+    return [HamiltonianCycle(tuple(o)) for o in tour_array(n, cap).orders.tolist()]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,13 @@
 Two construction routes:
 
 * enumeration over an explicit finite ground set (any degree k, exact
-  rationals, resource-capped basis size);
+  rationals, resource-capped basis size).  Over 0/1 points, the tours of
+  K_n among them, the matrix is one exact product Phi^T (fv * Phi), where
+  row x of the 0/1 matrix Phi marks the monomials that are 1 at x and fv
+  holds the integer values of f; it is formed in blocks of points as
+  float64 BLAS products whose partial sums are exact integers.  The
+  monomials live at each tour are cached per (n, k) as one index array;
+  the tours come from `cycles.tour_array`;
 * a closed form for degree 1 over the Hamiltonian-cycle ground set of K_n:
   every entry is f.constant * P(I u J) + sum_e coeff(e) * P(I u J u {e}),
   where P(E) is the fraction of tours containing the edge set E, available
@@ -38,6 +44,7 @@ import numpy as np
 from tsppsd.cycles import (
     DEFAULT_CYCLE_CAP,
     Edge,
+    TourArray,
     all_edges,
     count_cycles_with_edge_set,
     edge,
@@ -45,6 +52,7 @@ from tsppsd.cycles import (
     enumerate_cycles,
     factorial,
     num_cycles,
+    tour_array,
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import LinearFunctional
@@ -315,11 +323,21 @@ def moment_matrix_enumerated(
     vals = [Fraction(v) for v in values]
     if ground.is_zero_one:
         den = math.lcm(*(v.denominator for v in vals)) if vals else 1
-        weighted = (
-            ([c for c, x in enumerate(pt) if x], int(v * den))
-            for pt, v in zip(ground.points, vals)
-        )
-        N = _zero_one_entries(basis, k, weighted)
+        rows = [
+            _live_monomials(
+                np.array([[c for c, x in enumerate(pt) if x]], dtype=np.int64),
+                ground.dimension,
+                k,
+            )[0]
+            for pt in ground.points
+        ]
+        # one row of live monomials per point; index d pads the shorter rows
+        d = len(basis)
+        live = np.full((len(rows), max(map(len, rows))), d, dtype=np.int64)
+        for i, row in enumerate(rows):
+            live[i, : len(row)] = row
+        fv = _integer_array([int(v * den) for v in vals])
+        N = _zero_one_entries(d, live, fv)
         return MomentMatrix(k, basis, labels, N, den * len(ground.points))
     # general rational points
     d = len(basis)
@@ -345,35 +363,100 @@ def moment_matrix_enumerated(
     return MomentMatrix.from_rows(k, basis, labels, entries)
 
 
-def _zero_one_entries(
-    basis: Sequence[Monomial],
-    k: int,
-    weighted: Iterable[tuple[Sequence[int], int]],
-) -> np.ndarray:
-    """Integer matrix with entry (I, J) = sum fv mono_I(x) mono_J(x) over
-    zero-one points x, each given by its sorted support and its integer
-    value fv.  Sums are kept over the upper triangle and mirrored."""
-    index = {m: i for i, m in enumerate(basis)}
-    d = len(basis)
-    num = [[0] * d for _ in range(d)]
-    for support, fv in weighted:
-        if fv == 0:
-            continue
-        # mono_I(x) = 1 iff every coordinate of I is 1 on x; repetition collapses.
-        live = [0]
-        for deg in range(1, k + 1):
-            live.extend(
-                index[m] for m in itertools.combinations_with_replacement(support, deg)
-            )
-        for a_pos, ia in enumerate(live):
-            row = num[ia]
-            for ib in live[a_pos:]:
-                row[ib] += fv
-    for i in range(d):
-        row = num[i]
-        for j in range(i + 1, d):
-            num[j][i] = row[j]
-    return _integer_array(num)
+_BLOCK = 1024  # points per block of the exact product
+_LIMB = 2**32
+
+
+def _zero_one_entries(d: int, live: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """Integer matrix with entry (I, J) = sum_x fv(x) mono_I(x) mono_J(x)
+    over zero-one points x, as the exact product Phi^T (fv * Phi).
+
+    Row x of `live` holds the basis indices of the monomials that are 1 at
+    x (an index >= d pads a shorter row), and fv the integer value at each
+    point.  Phi is formed one block of points at a time, so memory stays
+    O(block * d + d^2).  fv is split into base-2^32 limbs; each limb's
+    block product has partial sums below 2^53, so it is one exact float64
+    BLAS product (`integer_matmul`), summed over the blocks in int64.  The
+    limbs are recombined in Python ints only when there is more than one.
+    N is int64 when every entry fits, Python ints otherwise.
+    """
+    nonzero = np.flatnonzero(fv)
+    if len(nonzero) < len(fv):
+        live, fv = live[nonzero], fv[nonzero]
+    limbs = _limbs(fv)
+    acc = [np.zeros((d, d), dtype=np.int64) for _ in limbs]
+    for lo in range(0, len(live), _BLOCK):
+        block = live[lo : lo + _BLOCK]
+        phi = np.zeros((len(block), d + 1))
+        np.put_along_axis(phi, block, 1.0, axis=1)
+        phi = phi[:, :d]
+        for total, limb in zip(acc, limbs):
+            total += integer_matmul(phi.T, phi * limb[lo : lo + _BLOCK, None], 1)
+    if len(acc) == 1:
+        return acc[0]
+    N = acc[-1].astype(object)
+    for total in reversed(acc[:-1]):
+        N = N * _LIMB + total
+    if -(2**63) <= N.min() and N.max() < 2**63:
+        return N.astype(np.int64)
+    return N
+
+
+def _limbs(fv: np.ndarray) -> list[np.ndarray]:
+    """Float64 arrays l_0, l_1, ... with fv = sum_i l_i 2^(32 i) exactly:
+    base-2^32 digits, the last one signed, so every |l_i| < 2^32."""
+    out = []
+    rest = fv
+    while int(np.abs(rest).max(initial=0)) >= _LIMB:
+        rest = rest.astype(object)
+        out.append((rest % _LIMB).astype(float))
+        rest = rest // _LIMB
+    out.append(rest.astype(float))
+    return out
+
+
+def _live_monomials(supports: np.ndarray, dimension: int, k: int) -> np.ndarray:
+    """Indices in `monomial_basis(dimension, k)` of the monomials that are 1
+    at 0/1 points, one row per point: the multisets of size <= k of its
+    support.  Row x of `supports` is the sorted support of point x, all of
+    one size."""
+    cols = [np.zeros((len(supports), 1), dtype=np.int64)]
+    offset = 1
+    for deg in range(1, k + 1):
+        pos = np.array(
+            list(itertools.combinations_with_replacement(range(supports.shape[1]), deg)),
+            dtype=np.intp,
+        ).reshape(-1, deg)
+        # nondecreasing positions into a sorted support give sorted monomials
+        mono = supports[:, pos].astype(np.int64)
+        # c_1 <= ... <= c_m in range(D) <-> c_j + j - 1 strictly increasing
+        # in range(D + m - 1), in the same lexicographic order
+        cols.append(offset + _subset_rank(mono + np.arange(deg), dimension + deg - 1))
+        offset += math.comb(dimension + deg - 1, deg)
+    return np.concatenate(cols, axis=1)
+
+
+def _subset_rank(b: np.ndarray, size: int) -> np.ndarray:
+    """Lexicographic rank of each strictly increasing last-axis row b among
+    the m-subsets of range(size), m = b.shape[-1]."""
+    m = b.shape[-1]
+    rank = np.full(b.shape[:-1], math.comb(size, m) - 1, dtype=np.int64)
+    for j in range(m):
+        # the subsets after b that first differ from it at position j take
+        # their other m - j elements above b_j; a count never exceeds
+        # C(size, m), so every used entry fits
+        later = np.array([math.comb(a, m - j) for a in range(size - j)], dtype=np.int64)
+        rank -= later[size - 1 - b[..., j]]
+    return rank
+
+
+@functools.lru_cache(maxsize=16)
+def _tour_monomials(n: int, k: int) -> np.ndarray:
+    """Read-only |X| x C(n+k, k) array: row t holds the indices in the
+    enumerated degree-k basis of the monomials that are 1 on tour t."""
+    tours = tour_array(n, cap=n)  # callers check their own cap first
+    live = _live_monomials(tours.edges, n * (n - 1) // 2, k)
+    return _read_only(live.astype(np.int32))
 
 
 def _mono_value(mono: Monomial, point: Sequence[Fraction]) -> Fraction:
@@ -402,23 +485,26 @@ def moment_matrix_enumerated_cycles(
     """Enumerated moment matrix over the tours of K_n for a linear functional."""
     if f.n != n:
         raise ValueError(f"functional has n={f.n}, requested n={n}")
-    cycles = enumerate_cycles(n, cycle_cap)
+    tours = tour_array(n, cycle_cap)
     edges = all_edges(n)
-    dim = len(edges)
-    basis = monomial_basis(dim, k, basis_cap)
-    const_i, coeff_i, den = _integer_functional(f)
-    eidx = {e: i for i, e in enumerate(edges)}
-    weighted = (
-        (
-            sorted(eidx[e] for e in cyc.edges),
-            const_i + sum(coeff_i.get(e, 0) for e in cyc.edges),
-        )
-        for cyc in cycles
-    )
-    N = _zero_one_entries(basis, k, weighted)
+    basis = monomial_basis(len(edges), k, basis_cap)
+    fv, den = _tour_values(tours, f)
+    N = _zero_one_entries(len(basis), _tour_monomials(n, k), fv)
     enames = [f"{e.u}-{e.v}" for e in edges]
     labels = tuple(_edge_monomial_label(m, enames) for m in basis)
-    return MomentMatrix(k, basis, labels, N, den * len(cycles), n=n)
+    return MomentMatrix(k, basis, labels, N, den * len(tours), n=n)
+
+
+def _tour_values(tours: TourArray, f: LinearFunctional) -> tuple[np.ndarray, int]:
+    """den * f(x) at every tour x as an integer array (int64 when a bound
+    from the coefficients fits, Python ints otherwise), and den."""
+    const, coeff, den = _integer_functional(f)
+    n = tours.n
+    bound = abs(const) + n * max((abs(c) for c in coeff.values()), default=0)
+    c = np.zeros(n * (n - 1) // 2, dtype=np.int64 if bound < 2**63 else object)
+    for e, ce in coeff.items():
+        c[edge_index(e, n)] = ce
+    return const + c[tours.edges].sum(axis=1), den
 
 
 def _edge_monomial_label(mono: Monomial, names: Sequence[str]) -> str:
@@ -737,16 +823,15 @@ def quadratic_form_value(
     """(1/|X|) sum over tours of f(x) p(x)^2, exact, by enumeration."""
     if f.n != n:
         raise ValueError(f"functional has n={f.n}, requested n={n}")
-    cycles = enumerate_cycles(n, cycle_cap)
-    const_i, coeff_i, den = _integer_functional(f)
-    fedges = p.factor_edges(n)
-    total = 0
-    for cyc in cycles:
-        ce = cyc.edges
-        if any((e in ce) == comp for e, comp in fedges):
-            continue
-        total += const_i + sum(coeff_i.get(e, 0) for e in ce)
-    return Fraction(total, den * len(cycles))
+    tours = tour_array(n, cycle_cap)
+    fv, den = _tour_values(tours, f)
+    factors = p.factor_edges(n)
+    # p(x)^2 = p(x) is 1 exactly where x has every plain factor edge and no
+    # complemented one
+    live = tours.containing(
+        [e for e, comp in factors if not comp], [e for e, comp in factors if comp]
+    )
+    return Fraction(sum(fv[live].tolist()), den * len(tours))
 
 
 def zero_one_certificate(y: Sequence[Fraction | int], X: GroundSet) -> CertificatePolynomial:

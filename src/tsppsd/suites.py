@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from tsppsd.bounds import (
     bound_oracle,
     bound_report,
@@ -25,7 +27,7 @@ from tsppsd.cycles import (
     all_edges,
     count_cycles_containing,
     edge,
-    enumerate_cycles,
+    tour_array,
 )
 from tsppsd.functionals import (
     FacetSpec,
@@ -97,17 +99,17 @@ def suite_paths(n_max: int = 9, seed: int = 0) -> list[dict]:
     checks: list[dict] = []
     rng = random.Random(seed)
     for n in range(4, n_max + 1):
-        cycles = enumerate_cycles(n)
+        tours = tour_array(n)
         _check(
             checks,
             f"paths/n={n}/cycle-count",
-            len(cycles) == count_cycles_containing(n, PathSystem(())),
-            f"{len(cycles)} tours",
+            len(tours) == count_cycles_containing(n, PathSystem(())),
+            f"{len(tours)} tours",
         )
         for pattern in path_patterns(n):
             ps = embed_pattern(pattern, n, rng)
             want = count_cycles_containing(n, ps)
-            got = sum(1 for c in cycles if ps.edges <= c.edges)
+            got = int(np.count_nonzero(tours.containing(ps.edges)))
             label = "+".join(map(str, pattern))
             _check(
                 checks,

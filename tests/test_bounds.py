@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsppsd import bounds
 from tsppsd.bounds import (
     BoundReport,
     bound_oracle,
@@ -119,6 +120,33 @@ def test_bound_report_matches_closed_form_grid():
             assert rep.bound == proposition_bound(n, k)
             assert 0 < rep.b_k < rep.c_k
             assert rep.a_k == 1 - rep.bound
+
+
+def test_bound_report_equals_the_lemma_route_field_by_field():
+    for n in range(6, 41):
+        for k in range(1, n // 2 + 1):
+            b, c = f_counts(n, k) if n % 2 == 0 else g_counts(n, k)
+            bound = lemma_bound(b, c, n)
+            want = BoundReport(
+                n, k, "even" if n % 2 == 0 else "odd", b, c, bound, 1 - bound,
+                1 - bound - Fraction(n, k),
+            )
+            assert bound_report(n, k) == want
+
+
+def test_bound_report_rejects_counts_that_miss_the_closed_form(monkeypatch):
+    for name in ("f_counts", "g_counts"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(
+            bounds, name, lambda n, k, real=real: (real(n, k)[0], real(n, k)[1] + 1)
+        )
+    for n in (10, 11):
+        with pytest.raises(RuntimeError, match="closed form"):
+            bound_report(n, 2)
+    # counts outside 0 < b < c are refused as the lemma refuses them
+    monkeypatch.setattr(bounds, "f_counts", lambda n, k: (5, 5))
+    with pytest.raises(ValueError, match="0 < b < c"):
+        bound_report(10, 2)
 
 
 def test_theorem1_examples_and_grid():

@@ -1,10 +1,14 @@
 import math
 import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsppsd import cycles as cycles_module
 from tsppsd.cycles import (
+    Edge,
     PathSystem,
     all_edges,
     canonical_cycle,
@@ -14,6 +18,7 @@ from tsppsd.cycles import (
     edge_index,
     enumerate_cycles,
     num_cycles,
+    tour_array,
 )
 from tsppsd.errors import ResourceLimitError
 
@@ -36,6 +41,56 @@ def test_enumeration_is_canonical_and_duplicate_free():
             assert c.order[0] == 1
             assert c.order[1] < c.order[-1]
         assert [c.order for c in cycles] == sorted(c.order for c in cycles)
+
+
+def test_tour_array_is_read_only_and_matches_the_enumeration():
+    for n in range(3, 9):
+        tours = tour_array(n)
+        assert tour_array(n) is tours  # built once per n
+        assert len(tours) == num_cycles(n)
+        assert tours.orders.shape == tours.edges.shape == (num_cycles(n), n)
+        assert tours.edges.dtype == np.uint8
+        for a in (tours.orders, tours.edges):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        rows = zip(tours.orders.tolist(), tours.edges.tolist(), enumerate_cycles(n))
+        for order, edges, c in rows:
+            assert tuple(order) == c.order
+            assert edges == sorted(edge_index(e, n) for e in c.edges)
+
+
+def test_tour_array_checks_the_cap_before_enumerating(monkeypatch):
+    def enumerate_anyway(n):
+        raise AssertionError(f"enumerated the tours of K_{n}")
+
+    monkeypatch.setattr(cycles_module, "_tours", enumerate_anyway)
+    with pytest.raises(ResourceLimitError, match="12"):
+        tour_array(13)
+    with pytest.raises(ResourceLimitError, match="12"):
+        enumerate_cycles(13)
+    with pytest.raises(ResourceLimitError, match="7"):
+        tour_array(8, cap=7)
+    with pytest.raises(ValueError):
+        tour_array(2)
+
+
+def test_tour_masks_match_the_cycle_objects():
+    rng = random.Random(3)
+    n = 7
+    tours = tour_array(n)
+    cycles = enumerate_cycles(n)
+    universe = all_edges(n)
+    for _ in range(40):
+        present = rng.sample(universe, rng.randint(0, 3))
+        absent = rng.sample(universe, rng.randint(0, 3))
+        want = [
+            set(present) <= c.edges and not set(absent) & c.edges for c in cycles
+        ]
+        assert tours.containing(present, absent).tolist() == want
+    # no tour of K_7 has an edge at vertex 9, and none avoids all of them
+    assert not tours.containing([Edge(1, 9)]).any()
+    assert tours.containing([], [Edge(1, 9)]).all()
 
 
 def test_canonical_cycle_identifies_rotations_and_reflections():

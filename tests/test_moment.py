@@ -34,7 +34,7 @@ from tsppsd.moment import (
     trace_of,
     zero_one_certificate,
 )
-from tsppsd.polynomials import edge_monomial
+from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
 from tsppsd.psd import boundary_certificate
 from tsppsd.functionals import FacetSpec
 
@@ -69,6 +69,15 @@ def random_functional(n, rng, normalized=False):
     if avg == 0:
         return make_ones(n)
     return combine(1 / avg, f, 0, f)
+
+
+def large_functional(n, rng, size=10**20):
+    coeff = {
+        e: Fraction(size + rng.randint(-9, 9), rng.randint(1, 3)) * rng.choice((1, -1))
+        for e in all_edges(n)
+        if rng.random() < 0.5
+    }
+    return LinearFunctional(n, Fraction(rng.randint(-2, 2) * size), coeff)
 
 
 def test_basis_ordering_and_size():
@@ -324,6 +333,42 @@ def test_product_is_an_integer_array():
     ]
 
 
+def brute_force_form(f, p, n):
+    """(1/|X|) sum over tours of f(x) p(x)^2, tour by tour."""
+    cycles = enumerate_cycles(n)
+    total = sum(
+        (f.evaluate(c) * p.evaluate(c.incidence) ** 2 for c in cycles), Fraction(0)
+    )
+    return total / len(cycles)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_quadratic_form_matches_a_brute_force_sum(n):
+    rng = random.Random(n)
+    specs = [FacetSpec(kind, n, edge=e) for e in all_edges(n)
+             for kind in ("edge-lower", "edge-upper")]
+    specs += [FacetSpec("subtour", n, U=tuple(range(1, m + 1))) for m in range(2, n // 2 + 1)]
+    if n == 7:
+        specs.append(
+            FacetSpec("two-matching", n, U=(1, 2, 3), F=(edge(1, 4), edge(2, 5), edge(3, 6)))
+        )
+    other = random_functional(n, rng)
+    for spec in specs:
+        p = boundary_certificate(spec)
+        for f in (spec.functional(), other):
+            assert quadratic_form_value(f, p, n) == brute_force_form(f, p, n)
+    universe = all_edges(n)
+    for _ in range(30):
+        # products of edge variables and complements, repeats and a factor
+        # next to its own complement included
+        factors = edge_monomial(n, rng.choices(universe, k=rng.randint(0, 3))).factors
+        for e in rng.choices(universe, k=rng.randint(0, 2)):
+            factors += one_minus_edge(n, e).factors
+        p = CertificatePolynomial("monomial-product", tuple(rng.sample(factors, len(factors))))
+        f = large_functional(n, rng) if rng.random() < 0.3 else random_functional(n, rng)
+        assert quadratic_form_value(f, p, n) == brute_force_form(f, p, n)
+
+
 def test_quadratic_form_values():
     n = 6
     f = make_edge_bound(n, edge(1, 2), "upper")
@@ -336,6 +381,65 @@ def test_quadratic_form_values():
     sub = make_subtour(7, {1, 2, 3})
     p_u = boundary_certificate(FacetSpec("subtour", 7, U=(1, 2, 3)))
     assert quadratic_form_value(sub, p_u, 7) == 0
+
+
+def brute_force_moments(points, values, basis):
+    """Integer sums S over a denominator D with S[I][J] / D =
+    (1/|X|) sum_x f(x) mono_I(x) mono_J(x), point by point."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    d = len(basis)
+    S = [[0] * d for _ in range(d)]
+    for x, fx in zip(points, values):
+        w = int(fx * den)
+        live = [i for i, m in enumerate(basis) if all(x[c] for c in m)]
+        for i in live:
+            row = S[i]
+            for j in live:
+                row[j] += w
+    return S, den * len(points)
+
+
+def assert_matches_brute_force(M, points, values):
+    S, D = brute_force_moments(points, values, M.basis)
+    N = M.N.tolist()
+    # N / scale == S / D entry by entry, in integers
+    assert all(a * D == b * M.scale for ra, rb in zip(N, S) for a, b in zip(ra, rb))
+    fits = all(-(2**63) <= a < 2**63 for row in N for a in row)
+    assert M.N.dtype == (np.int64 if fits else object)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (6, 3), (7, 2)])
+def test_enumerated_build_matches_a_brute_force_sum(n, k):
+    rng = random.Random(10 * n + k)
+    # values beyond 2^32 whose matrix still fits in int64, and beyond int64
+    fs = [random_functional(n, rng), large_functional(n, rng, 10**10),
+          large_functional(n, rng)]
+    if n < 7:
+        fs += generators(n)
+    else:
+        fs.append(make_two_matching(n, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)]))
+    cycles = enumerate_cycles(n)
+    points = [c.incidence for c in cycles]
+    for f in fs:
+        M = moment_matrix_enumerated_cycles(n, f, k)
+        assert M.n == n and M.basis == tuple(monomial_basis(len(all_edges(n)), k))
+        assert_matches_brute_force(M, points, [f.evaluate(c) for c in cycles])
+
+
+def test_ground_set_build_matches_a_brute_force_sum():
+    rng = random.Random(4)
+    for trial in range(12):
+        d = rng.randint(3, 6)
+        pts = rng.sample(
+            [tuple((mask >> i) & 1 for i in range(d)) for mask in range(2**d)],
+            rng.randint(2, 12),
+        )
+        X = GroundSet(d, tuple(tuple(map(Fraction, p)) for p in pts))
+        big = 10**20 if trial % 3 == 0 else 1
+        values = [Fraction(rng.randint(-5, 5) * big, rng.randint(1, 4)) for _ in pts]
+        for k in (1, 2, 3):
+            M = moment_matrix_enumerated(X, values, k)
+            assert_matches_brute_force(M, pts, values)
 
 
 def test_enumerated_matches_ground_set_route():
