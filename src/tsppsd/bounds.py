@@ -144,16 +144,22 @@ def lemma_bound(b: int | Fraction, c: int | Fraction, n: int) -> Fraction:
     return -b * (n - 1) / (2 * (c - b))
 
 
-def proposition_bound(n: int, k: int) -> Fraction:
-    """Closed-form lower bound -n/k + 1 - n (k-1) / (k den) for f(y) over f
-    in P_k, with den parity-dispatched, normalized once."""
+def _proposition_parts(n: int, k: int) -> tuple[int, int]:
+    """Numerator and denominator k den of `proposition_bound`, not
+    normalized."""
     if not (1 <= k <= n // 2):
         raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={n}")
     if n % 2 == 0:
         den = n**2 - k * n - 3 * n + k + 3
     else:
         den = n**2 - n * k - 4 * n + 4 + 2 * k
-    return Fraction((k - n) * den - n * (k - 1), k * den)
+    return (k - n) * den - n * (k - 1), k * den
+
+
+def proposition_bound(n: int, k: int) -> Fraction:
+    """Closed-form lower bound -n/k + 1 - n (k-1) / (k den) for f(y) over f
+    in P_k, with den parity-dispatched, normalized once."""
+    return Fraction(*_proposition_parts(n, k))
 
 
 @dataclass(frozen=True)
@@ -168,35 +174,56 @@ class BoundReport:
     alpha_k: Fraction
 
 
-def bound_report(n: int, k: int) -> BoundReport:
-    """Assemble the counts, the bound, and a_k = n/k + alpha_k; the count
-    route and the closed form must agree exactly.  They are compared in
-    integers: -b (n-1) / (2 (c - b)) = p/q iff -b (n-1) q = 2 (c - b) p."""
+def _checked_counts(n: int, k: int) -> tuple[int, int, int, int]:
+    """The counts b, c and the closed form p / q of `_proposition_parts`,
+    after checking that the count route agrees with it.  They are compared
+    in integers: -b (n-1) / (2 (c - b)) = p/q iff -b (n-1) q = 2 (c - b) p."""
     if n % 2 == 0:
         b, c = f_counts(n, k)
     else:
         b, c = g_counts(n, k)
-    prop = proposition_bound(n, k)
-    p, q = prop.numerator, prop.denominator
+    p, q = _proposition_parts(n, k)
     if not (0 < b < c) or -b * (n - 1) * q != 2 * (c - b) * p:
         bound = lemma_bound(b, c, n)  # raises ValueError unless 0 < b < c
-        raise RuntimeError(f"count bound {bound} != closed form {prop} at n={n}, k={k}")
-    a_k = 1 - prop
+        raise RuntimeError(
+            f"count bound {bound} != closed form {Fraction(p, q)} at n={n}, k={k}"
+        )
+    return b, c, p, q
+
+
+def _report(n: int, k: int, b: int, c: int, p: int, q: int) -> BoundReport:
+    """a_k = 1 - p/q, and alpha_k = a_k - n/k = n (k-1) / q."""
+    prop = Fraction(p, q)
     return BoundReport(
-        n, k, "even" if n % 2 == 0 else "odd", b, c, prop, a_k, a_k - Fraction(n, k)
+        n, k, "even" if n % 2 == 0 else "odd", b, c, prop, 1 - prop,
+        Fraction(n * (k - 1), q),
     )
+
+
+def bound_report(n: int, k: int) -> BoundReport:
+    """Assemble the counts, the bound, and a_k = n/k + alpha_k; the count
+    route and the closed form must agree exactly."""
+    return _report(n, k, *_checked_counts(n, k))
+
+
+def theorem1_check(n: int, k: int) -> tuple[int, int, int, int]:
+    """The checks of `theorem1_constants` in integers only, without the
+    report: the counts against the closed form p / q, and |alpha_k| <= 10/n.
+    With alpha_k = n (k-1) / q and q = k den, that bound reads
+    n^2 (k-1) <= 10 |q|.  Returns b, c, p and q."""
+    if n < 9:
+        raise ValueError(f"need n >= 9, got {n}")
+    b, c, p, q = _checked_counts(n, k)
+    if n * n * (k - 1) > 10 * abs(q):
+        raise RuntimeError(
+            f"alpha_k bound violated at n={n}, k={k}: {Fraction(n * (k - 1), q)}"
+        )
+    return b, c, p, q
 
 
 def theorem1_constants(n: int, k: int) -> BoundReport:
     """BoundReport plus the guarantee |alpha_k| <= 10/n (needs n >= 9)."""
-    if n < 9:
-        raise ValueError(f"need n >= 9, got {n}")
-    report = bound_report(n, k)
-    if abs(report.alpha_k) > Fraction(10, n):
-        raise RuntimeError(
-            f"alpha_k bound violated at n={n}, k={k}: {report.alpha_k}"
-        )
-    return report
+    return _report(n, k, *theorem1_check(n, k))
 
 
 def bound_oracle(

@@ -249,7 +249,11 @@ def functional_to_spec(f: LinearFunctional) -> dict:
 
 
 def _parse_edge(text: str) -> Edge:
+    """The edge of a "u-v" string; anything else is a ValueError, so that a
+    malformed spec is a usage error."""
     try:
+        if not isinstance(text, str):
+            raise ValueError
         u, v = text.split("-")
         return edge(int(u), int(v))
     except ValueError as exc:

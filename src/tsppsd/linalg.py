@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -174,10 +173,6 @@ def nonsingular_block(
     return P, Q
 
 
-UNIT_ROUNDOFF = Fraction(1, 2**53)  # u of IEEE-754 binary64
-SUBNORMAL_MIN = Fraction(1, 2**1074)  # smallest positive binary64
-
-
 def cholesky_shift(A: np.ndarray, entry_error_bound: float = 0.0) -> float:
     """The diagonal shift of `certified_pd`, rounded upward:
 
@@ -185,22 +180,28 @@ def cholesky_shift(A: np.ndarray, entry_error_bound: float = 0.0) -> float:
         + 16 r (r + 2 + max_i a_ii) * 2^-1074     underflow, generously
         + r * entry_error_bound                   float conversion
 
-    with gamma = (r+1) u / (1 - (r+1) u) and u = 2^-53.  The sum is formed
-    from an upper bound on the trace and rounded up once.  Assumes
-    a_ii >= 0.
+    with gamma = (r+1) u / (1 - (r+1) u) and u = 2^-53, so that
+    gamma / (1 - 2 gamma) = (r+1) / (2^53 - 3 (r+1)).  The sum is formed
+    exactly from an upper bound on the trace, as one integer fraction P / Q
+    over Q = (2^53 - 3 (r+1)) 2^2148 (every float is an integer over a
+    power of two up to 2^1074), and rounded up once.  Assumes a_ii >= 0.
     """
     r = A.shape[0]
     diag = np.diagonal(A).tolist()
     # fsum is correctly rounded, so one step up bounds the exact trace
-    trace = Fraction(math.nextafter(math.fsum(diag), math.inf))
-    gamma = (r + 1) * UNIT_ROUNDOFF / (1 - (r + 1) * UNIT_ROUNDOFF)
-    shift = (
-        gamma / (1 - 2 * gamma) * trace
-        + 16 * r * (r + 2 + Fraction(max(diag, default=0.0))) * SUBNORMAL_MIN
-        + r * Fraction(entry_error_bound)
+    tn, td = math.nextafter(math.fsum(diag), math.inf).as_integer_ratio()
+    mn, md = max(diag, default=0.0).as_integer_ratio()
+    en, ed = float(entry_error_bound).as_integer_ratio()
+    d0 = 2**53 - 3 * (r + 1)
+    top = 2**2148
+    P = (
+        (r + 1) * tn * (top // td)
+        + d0 * (16 * r * ((r + 2) * md + mn) * (2**1074 // md) + r * en * (top // ed))
     )
-    up = float(shift)
-    return up if Fraction(up) >= shift else math.nextafter(up, math.inf)
+    Q = d0 * top
+    up = P / Q  # correctly rounded
+    a, b = up.as_integer_ratio()
+    return up if a * Q >= P * b else math.nextafter(up, math.inf)
 
 
 def certified_pd(A: np.ndarray, entry_error_bound: float = 0.0) -> bool:

@@ -266,14 +266,6 @@ class MomentMatrix:
             classes.setdefault(key(i), []).append(i)
         return [c for c in classes.values() if len(c) > 1]
 
-    def constant_row_copies(self) -> list[int]:
-        """Indices i >= 1 whose row equals row 0 exactly.  By symmetry such
-        a row has N[i, i] = N[0, 0], so whole rows are compared only where
-        the diagonals match."""
-        N = self.N
-        cand = 1 + np.flatnonzero(N.diagonal()[1:] == N[0, 0])
-        return [i for i in cand.tolist() if np.array_equal(N[i], N[0])]
-
     def formatted_rows(self) -> list[list[str]]:
         """Entries as "p/q" strings; each distinct numerator is formatted once."""
         rows = self.N.tolist()
@@ -676,6 +668,9 @@ def degree_relations(n: int) -> np.ndarray:
     return tour_relations(n, 1)
 
 
+_STAR_BLOCK = 2**16  # entries of N gathered at once by the degree-relation check
+
+
 class ClosedFormK1(MomentMatrix):
     """Degree-1 closed-form moment matrix M = N / scale.
 
@@ -692,8 +687,9 @@ class ClosedFormK1(MomentMatrix):
     * (B diag(s) B^T)_ab, the vertex sums at shared endpoints (0 for a
       disjoint pair).
 
-    Here C is the symmetric vertex-by-vertex coefficient matrix and B the
-    edge-vertex incidence.  The disjoint-pair formula fills the edge block
+    Here C is the symmetric vertex-by-vertex coefficient matrix, den times
+    the coefficients of f (kept as `C`, read-only), and B the edge-vertex
+    incidence.  The disjoint-pair formula fills the edge block
     densely from two vertex-by-edge matrices G1 and G2 (built from
     H = C B^T, whose rows at the ends of a sum to row a of B C B^T): row a
     is G1[u_a] + G2[v_a] + g_a.  The edges with one smaller endpoint x are
@@ -782,6 +778,7 @@ class ClosedFormK1(MomentMatrix):
             we[0] + we[1] * (2 * t) + we[2] * (2 * c) + we[3] * (2 * c) + we[4] * t
         )
         N[0, 1:] = N[1:, 0] = N.diagonal()[1:]
+        self.C = _read_only(C)
         super().__init__(1, layout.basis, layout.labels, N, den * R, n=n)
 
     def star_kernel_verified(self) -> bool:
@@ -793,15 +790,19 @@ class ClosedFormK1(MomentMatrix):
         by construction (every formula is symmetric in the two edges and
         the constant row copies the diagonal), so this is N D = 0.  A sum
         of n - 1 entries is exact in int64 while (n + 1) max|N| < 2^63,
-        and the check runs on Python ints beyond that.
+        and the check runs on Python ints beyond that.  The rows are
+        gathered for as many vertices at a time as keep the gathered block
+        near _STAR_BLOCK entries.
         """
         N = self.N
         if N.dtype != object and (self.n + 1) * self._max_abs >= 2**63:
             N = N.astype(object)
         twice = 2 * N[0]
+        at = _edge_layout(self.n).at
+        step = max(1, _STAR_BLOCK // at.shape[1] // self.dim)
         return all(
-            np.array_equal(N[1 + edges_at_x].sum(axis=0), twice)
-            for edges_at_x in _edge_layout(self.n).at
+            (N[1 + at[x : x + step]].sum(axis=1) == twice).all()
+            for x in range(0, self.n, step)
         )
 
 

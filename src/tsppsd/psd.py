@@ -3,8 +3,9 @@ certificates.
 
 Membership of a functional in P_k is decided on its degree-k moment matrix
 M = N / scale, in one pipeline for every k: the kernel vectors known
-exactly are quotiented out, which reduces M to a principal submatrix, and
-`_decide_reduced` decides that block.  There are two builders.
+exactly are quotiented out, which reduces M (at k = 1, its matrix G in a
+symmetry-adapted basis) to a principal submatrix, and `_decide_reduced`
+decides that block.  There are two builders.
 `membership_p1` takes the closed-form degree-1 matrix, at any n up to the
 cap; `membership_pk_enumerated` takes the matrix of any degree k over the
 enumerated tours, up to the cycle cap.  The pipeline, fastest first:
@@ -14,15 +15,20 @@ enumerated tours, up to the cycle cap.  The pipeline, fastest first:
    * k = 1, closed form: the degree relations are checked exactly against
      row sums of N, which also checks the corner; then the functional's
      average over the tours, which must be 1, is read from N[0, 0] / scale.
-     The kernel vectors are one degree relation per vertex, the unit x_e of
-     each zero row, and 1 - x_e for each edge row equal to the constant row
-     (a copy).  The degree relations pair with the constant and the edges
-     at the first vertex that no zero row or copy touches; the pairing is
-     nonsingular unless there are exactly n - 2 copies, and then, or when
-     every vertex is touched, the edges at vertex 1 are dropped with the
-     zero rows only.  The edge-bound facets and the subtour facets with
-     |U| = 2, whose degree-1 boundary certificate is x_e or 1 - x_e, thus
-     reach step 2 with a definite matrix and need no eigendecomposition;
+     Vertices u and v are twins when c_uw = c_vw for every other vertex w,
+     and f, hence M, is invariant under the symmetric groups of the twin
+     classes (`symmetry`).  M is taken to G = U^T N U / scale in an
+     integer symmetry-adapted basis U, one column per copy of each
+     irreducible representation, by one exact product; G vanishes between
+     representation types (checked exactly) and M is PSD iff G is.  The
+     kernel vectors of G known exactly are the images of the degree
+     relations (one per class, one per class of two or more vertices), the
+     unit vector of each zero row, and e_O - |O| e_0 for each edge orbit O
+     whose row is |O| times the constant row; their pivots come from
+     `linalg.nonsingular_block`, which proves them.  Every facet kind of
+     the benchmark grid, up to n = 60 where M has dimension 1771, reaches
+     step 2 with a definite block of at most a few dozen coordinates and
+     needs no eigendecomposition.  Without twins U = I and G = M;
    * any k, enumerated: the structural relations of `moment.tour_relations`
      (a repeated edge collapses, x_e^2 m = x_e m, and each degree relation
      times each monomial of degree <= k - 1), with a pivot block proved
@@ -48,12 +54,14 @@ enumerated tours, up to the cycle cap.  The pipeline, fastest first:
 
 Every PSD verdict is therefore backed by either an exact elimination or a
 rigorous floating-point proof; every NOT_PSD verdict carries an exact
-integer witness vector on the whole matrix, zero on the dropped
-coordinates.  `PsdVerdict.method` names the step that decided.  Verdicts
-do not depend on the machine.  A witness from step 3 comes from LAPACK, so
-the vector itself is deterministic per machine only.  `is_psd_exact`
-(Bareiss on the whole matrix) and `is_psd_float` (a tolerance verdict)
-decide a given matrix without the quotient.
+integer witness vector on the whole matrix: at k = 1 the vector U y for a
+witness y of the kept block of G (zero on its dropped coordinates), at
+k >= 2 a vector zero on the dropped coordinates.  `PsdVerdict.method`
+names the step that decided.  Verdicts do not depend on the machine.  A
+witness from step 3 comes from LAPACK, so the vector itself is
+deterministic per machine only.  `is_psd_exact` (Bareiss on the whole
+matrix) and `is_psd_float` (a tolerance verdict) decide a given matrix
+without the quotient.
 """
 
 from __future__ import annotations
@@ -68,11 +76,10 @@ from tsppsd.cycles import (
     DEFAULT_CYCLE_CAP,
     Edge,
     edge,
-    edge_index,
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, LinearFunctional, average_on_x
-from tsppsd.linalg import certified_pd, exact_ldlt
+from tsppsd.linalg import certified_pd, exact_ldlt, integer_matmul
 from tsppsd.moment import (
     ClosedFormK1,
     DEFAULT_BASIS_CAP,
@@ -86,19 +93,26 @@ from tsppsd.moment import (
 )
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
 from tsppsd.rational import clear_denominators
+from tsppsd.symmetry import adapted_basis, kept_coordinates, twin_classes
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
 # Largest reduced dimension r on which the membership decisions run exact
-# Bareiss: r = 190 at n = 21 for k = 1, and every k = 2 block up to n = 7
-# (r <= 99).  Its cost grows about as r^5: on a 2-CPU Xeon r = 171
-# (n = 20) takes 3.4 s and r = 253 (n = 24) 24 s, and r = 1711 (n = 60)
-# would take days.
+# Bareiss: r = 190 at n = 21 for k = 1 without twins, and every k = 2
+# block up to n = 7 (r <= 99).  Its cost grows about as r^5: on a 2-CPU
+# Xeon r = 171 (n = 20) takes 3.4 s and r = 253 (n = 24) 24 s, and
+# r = 1711 (n = 60) would take days.
 EXACT_FALLBACK_CAP = 200
 
 
 @dataclass(frozen=True)
 class PsdVerdict:
+    """A decision on a moment matrix M.  `min_eigenvalue_estimate` is a
+    float estimate of the least eigenvalue of the block that was decided:
+    of M itself for `is_psd_float`, of the kept block for the membership
+    decisions, which at k = 1 is a block of G = U^T M U in the adapted
+    basis U and not of M.  It is None when no eigendecomposition ran."""
+
     status: str  # "PSD" | "NOT_PSD"
     witness: tuple[int, ...] | None = None
     min_eigenvalue_estimate: float | None = None
@@ -172,8 +186,12 @@ def membership_p1(
     # It runs first: it also checks the corner read as the average below.
     _check_star_kernel(cf)
     require_unit_average(cf.entry(0, 0))  # the average of f over X
-    keep = _reduced_coordinates(cf)
-    return _lifted(_decide_reduced(cf, keep), keep, cf.dim)
+    G, U, keep = _adapted_quotient(cf)
+    verdict = _lifted(_decide_reduced(G, keep), keep, G.dim)
+    if U is None or verdict.witness is None:
+        return verdict
+    w = integer_matmul(U, np.array(verdict.witness, dtype=object)[:, None], 1)
+    return replace(verdict, witness=tuple(w[:, 0].tolist()))
 
 
 def _lifted(verdict: PsdVerdict, keep: list[int], dim: int) -> PsdVerdict:
@@ -187,45 +205,52 @@ def _lifted(verdict: PsdVerdict, keep: list[int], dim: int) -> PsdVerdict:
     return replace(verdict, witness=tuple(full))
 
 
-def _reduced_coordinates(cf: ClosedFormK1) -> list[int]:
-    """Coordinates of a complement of the kernel vectors read exactly from N.
+def _adapted_quotient(
+    cf: ClosedFormK1,
+) -> tuple[MomentMatrix, np.ndarray | None, list[int]]:
+    """The matrix G = U^T N U / scale of the form in the adapted basis U of
+    the twin group of f (`symmetry`; G = M and U = None when the group is
+    trivial), and the coordinates of a complement in G of the kernel
+    vectors known exactly (`symmetry.kept_coordinates`):
 
-    The known kernel vectors are the n degree relations D_i, the unit x_e
-    of each zero row and 1 - x_e = e_0 - e_e of each edge row equal to the
-    constant row (a copy).  They pair with the dropped coordinates
-    {0} u (edges at the pairing vertex v) u (zero rows) u (copies), and the
-    square kernel matrix on those coordinates is nonsingular when no zero
-    row or copy touches v and #copies != n - 2: a relation
-    sum a_i D_i + sum g_z x_z + sum b_e (e_0 - e_e) = 0 on them reads
-    a_j = -a_v on the edge vj, g_z = -2 a_v and b_e = 2 a_v on the rows
-    themselves, and 2 a_v (2 - n + #copies) = 0 on the constant.  So every
-    vector is a kept vector plus a kernel vector, the form on M is the form
-    on the kept block, and a certified PD kept block proves M PSD.
+    * the images of the degree relations, which M annihilates
+      (`_check_star_kernel`);
+    * the unit vector of each zero row of G;
+    * e_O - |O| e_0 for the indicator of each edge orbit O whose row is |O|
+      times the constant row (at |O| = 1, 1 - x_e for an edge row equal to
+      the constant row).
+
+    Every vector is then a kept vector plus a kernel vector, the form on G
+    is the form on the kept block, and a certified PD kept block proves M
+    PSD.  Raises RuntimeError if G has a nonzero entry between different
+    representation types: M is invariant under the group by construction,
+    so that means a transcription bug.
     """
-    n = cf.n
-    zero = cf.zero_rows()
-    copies = cf.constant_row_copies()
-    v, copies = _pairing_vertex(
-        n, [cf.edges[i - 1] for i in zero], [cf.edges[i - 1] for i in copies]
+    U, shape = adapted_basis(twin_classes(cf.C))
+    G: MomentMatrix = cf
+    if U is not None:
+        N = integer_matmul(U.T, cf.product(U), 1)
+        t = shape.types
+        if np.any(N[t[:, None] != t]):
+            raise RuntimeError("moment matrix not invariant under the twin group")
+        index = range(len(N))
+        G = MomentMatrix(
+            1, [(j,) for j in index], map(str, index), N, cf.scale, n=cf.n
+        )
+    N = G.N
+    sizes = shape.orbit_sizes
+    # a row |O| times the constant row has the diagonal |O|^2 N[0, 0]; a
+    # product that wraps in int64 only lets a candidate through, which the
+    # comparison in Python ints then refuses
+    square = sizes.astype(N.dtype) ** 2 * N[0, 0]
+    row0 = N[0].tolist()
+    copies = tuple(
+        j
+        for j in np.flatnonzero((sizes > 0) & (N.diagonal() == square)).tolist()
+        if N[j].tolist() == [int(sizes[j]) * x for x in row0]
     )
-    dropped = {0, *zero, *(1 + edge_index(e, n) for e in copies)}
-    dropped.update(1 + edge_index(edge(v, j), n) for j in range(1, n + 1) if j != v)
-    return [i for i in range(cf.dim) if i not in dropped]
-
-
-def _pairing_vertex(
-    n: int, zero: Sequence[Edge], copies: Sequence[Edge]
-) -> tuple[int, list[Edge]]:
-    """The vertex whose edges pair with the degree relations, and the copies
-    of the constant row quotiented with them: the first vertex that no zero
-    row or copy touches, with every copy.  Without such a vertex, or with
-    n - 2 copies, vertex 1 and no copy (zero rows are always dropped)."""
-    if len(copies) != n - 2:
-        touched = {x for e in (*zero, *copies) for x in e}
-        for v in range(1, n + 1):
-            if v not in touched:
-                return v, list(copies)
-    return 1, []
+    zero = tuple(G.zero_rows())
+    return G, U, list(kept_coordinates(shape.sizes, zero, copies))
 
 
 def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:

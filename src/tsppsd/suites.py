@@ -19,7 +19,7 @@ from tsppsd.bounds import (
     f_counts,
     g_counts,
     proposition_bound,
-    theorem1_constants,
+    theorem1_check,
 )
 from tsppsd.cycles import (
     HamiltonianCycle,
@@ -279,7 +279,7 @@ def suite_bounds(n_max: int = 8, seed: int = 0) -> list[dict]:
     for n in range(9, 201):
         for k in range(1, n // 2 + 1):
             try:
-                theorem1_constants(n, k)
+                theorem1_check(n, k)
             except RuntimeError:
                 ok, bad = False, f"first failure at n={n}, k={k}"
                 break

@@ -16,10 +16,12 @@ from tsppsd.bounds import (
     g_counts,
     lemma_bound,
     proposition_bound,
+    theorem1_check,
     theorem1_constants,
 )
 from tsppsd.cycles import HamiltonianCycle, all_edges, canonical_cycle, edge, enumerate_cycles
 from tsppsd.functionals import LinearFunctional, average_on_x, combine, make_ones
+from tsppsd.suites import suite_bounds
 
 
 def test_comb0_convention():
@@ -160,6 +162,38 @@ def test_theorem1_examples_and_grid():
             assert abs(rep.alpha_k) <= Fraction(10, n)
     with pytest.raises(ValueError):
         theorem1_constants(8, 1)
+
+
+def test_integer_theorem1_check_is_the_fraction_check():
+    # alpha_k = n (k-1) / (k den), so |alpha_k| <= 10/n iff
+    # n^2 (k-1) <= 10 k den: the integer check against the Fraction one
+    # over the whole 9..200 grid
+    for n in range(9, 201):
+        for k in range(1, n // 2 + 1):
+            b, c, p, q = theorem1_check(n, k)
+            assert Fraction(p, q) == proposition_bound(n, k) and q > 0
+            assert (b, c) == (f_counts(n, k) if n % 2 == 0 else g_counts(n, k))
+            alpha = 1 - Fraction(p, q) - Fraction(n, k)
+            assert alpha == Fraction(n * (k - 1), q)
+            assert (n * n * (k - 1) <= 10 * q) == (abs(alpha) <= Fraction(10, n))
+
+
+def test_planted_alpha_violation_still_raises(monkeypatch):
+    # closed-form parts whose alpha_k = n (k-1) / q is too large for 10/n,
+    # with counts that agree with them, fail the check and the suite's grid
+    real = bounds._checked_counts
+
+    def planted(n, k):
+        b, c, p, q = real(n, k)
+        return (b, c, p, q) if (n, k) != (30, 4) else (b, c, p, n * (k - 1) - 1)
+
+    monkeypatch.setattr(bounds, "_checked_counts", planted)
+    with pytest.raises(RuntimeError, match="alpha_k bound violated at n=30, k=4"):
+        theorem1_check(30, 4)
+    with pytest.raises(RuntimeError, match="alpha_k bound violated at n=30, k=4"):
+        theorem1_constants(30, 4)
+    grid = [c for c in suite_bounds(6) if c["id"] == "bounds/grid-9-200/alpha-bound"]
+    assert [(c["status"], c["detail"]) for c in grid] == [("fail", "first failure at n=30, k=4")]
 
 
 def test_counts_match_brute_force_small():

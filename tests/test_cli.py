@@ -289,6 +289,24 @@ def test_usage_errors(capsys):
     assert run([]) == 2
 
 
+def test_edge_not_given_as_a_string_is_a_usage_error(tmp_path, capsys):
+    # an edge must be a "u-v" string; a list or a number is a usage error
+    # (exit 2) with a one-line message, not an internal error
+    specs = [
+        {"kind": "edge-lower", "n": 7, "edge": [2, 3]},
+        {"kind": "edge-upper", "n": 7, "edge": 23},
+        {"kind": "two-matching", "n": 8, "U": [1, 2, 3], "F": [[1, 4], "2-5", "3-6"]},
+        {"kind": "explicit", "n": 5, "constant": "1", "coeffs": {"1-2-3": "1"}},
+    ]
+    for spec in specs:
+        func = write_spec(tmp_path, spec)
+        for k in ("1", "2"):
+            assert run(["membership", "--func", func, "--k", k]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: cannot parse edge ")
+            assert err.count("\n") == 1
+
+
 def test_outputs_are_deterministic_files(tmp_path):
     func = write_spec(tmp_path, SUBTOUR_SPEC)
     a, b = tmp_path / "m1.json", tmp_path / "m2.json"

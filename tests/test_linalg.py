@@ -111,6 +111,40 @@ def test_cholesky_shift_is_rumps_bound():
         assert shift in (least, math.nextafter(least, math.inf))
 
 
+def fraction_shift(A, err=0.0):
+    """`cholesky_shift` in Fraction arithmetic, the reference: the same sum
+    from the trace rounded one float up, rounded up once."""
+    r = A.shape[0]
+    diag = np.diagonal(A).tolist()
+    trace = Fraction(math.nextafter(math.fsum(diag), math.inf))
+    u = Fraction(1, 2**53)
+    g = (r + 1) * u / (1 - (r + 1) * u)
+    exact = (
+        g / (1 - 2 * g) * trace
+        + 16 * r * (r + 2 + Fraction(max(diag, default=0.0))) * Fraction(1, 2**1074)
+        + r * Fraction(err)
+    )
+    up = float(exact)
+    return up if Fraction(up) >= exact else math.nextafter(up, math.inf)
+
+
+def test_cholesky_shift_equals_the_fraction_reference():
+    # the integer evaluation gives the same float, bit for bit, on ordinary,
+    # tiny, subnormal, zero and large diagonals
+    rng = np.random.default_rng(7)
+    for trial in range(600):
+        r = int(rng.integers(1, 80))
+        d = [
+            rng.uniform(0, 3, r),
+            rng.uniform(0, 1, r) * 10.0 ** rng.integers(-320, 300, r),
+            np.zeros(r),
+            5e-324 * rng.integers(0, 5, r),
+        ][trial % 4]
+        err = [0.0, 1e-17, float(rng.uniform(0, 1e-3)), 5e-324][trial // 4 % 4]
+        A = np.diag(d)
+        assert cholesky_shift(A, err) == fraction_shift(A, err)
+
+
 def test_certified_pd_decides_at_the_shift():
     # on a diagonal matrix, Cholesky of A - s I succeeds iff every a_ii > s
     s0 = cholesky_shift(np.diag([1.0, 1.0, 0.0]))

@@ -246,9 +246,13 @@ def test_rows_read_from_the_numerators():
     n, e = 7, edge(2, 5)
     upper = closed_form_k1(make_edge_bound(n, e, "upper"))
     lower = closed_form_k1(make_edge_bound(n, e, "lower"))
-    assert upper.zero_rows() == [coord(n, *e)] and upper.constant_row_copies() == []
-    assert lower.zero_rows() == [] and lower.constant_row_copies() == [coord(n, *e)]
-    assert closed_form_k1(make_ones(n)).constant_row_copies() == []
+
+    def copies(cf):
+        return [i for i in range(1, cf.dim) if np.array_equal(cf.N[i], cf.N[0])]
+
+    assert upper.zero_rows() == [coord(n, *e)] and copies(upper) == []
+    assert lower.zero_rows() == [] and copies(lower) == [coord(n, *e)]
+    assert copies(closed_form_k1(make_ones(n))) == []
 
 
 def test_closed_form_quadratic_form_is_exact():

@@ -11,6 +11,7 @@ from tsppsd.cycles import all_edges, edge, edge_index
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import (
     FacetSpec,
+    LinearFunctional,
     average_on_x,
     combine,
     functional_from_spec,
@@ -34,9 +35,8 @@ from tsppsd.moment import (
 )
 from tsppsd.psd import (
     EXACT_FALLBACK_CAP,
+    _adapted_quotient,
     _decide_reduced,
-    _pairing_vertex,
-    _reduced_coordinates,
     _structural_quotient,
     boundary_certificate,
     is_psd_exact,
@@ -47,6 +47,7 @@ from tsppsd.psd import (
     zero_one_collapse_check,
 )
 from tsppsd.spectra import residual_pair
+from tsppsd.symmetry import adapted_basis, kept_coordinates, quotient_vectors, twin_classes
 
 
 def as_matrix(rows):
@@ -172,7 +173,7 @@ def with_numerators(cf, N):
     """The closed-form matrix cf with its numerators replaced by N."""
     bad = object.__new__(ClosedFormK1)
     MomentMatrix.__init__(bad, 1, cf.basis, cf.labels, N, cf.scale, n=cf.n)
-    bad.f, bad.edges = cf.f, cf.edges
+    bad.f, bad.edges, bad.C = cf.f, cf.edges, cf.C
     return bad
 
 
@@ -216,6 +217,20 @@ def test_star_check_sums_exactly_near_the_int64_limit():
     N[rows, 7] += 2**62
     assert N.dtype == np.int64
     assert not with_numerators(cf, N).star_kernel_verified()
+
+
+def test_star_check_covers_every_block_of_vertices():
+    # at n = 30 the rows are gathered a few vertices at a time; one wrong
+    # entry in the row of any edge is caught
+    n = 30
+    cf = closed_form_k1(make_subtour(n, {1, 2, 3}))
+    assert cf.star_kernel_verified()
+    N = cf.N.copy()
+    bad = with_numerators(cf, N)
+    for row in range(1, cf.dim):
+        N[row, 5] += 1
+        assert not bad.star_kernel_verified(), row
+        N[row, 5] -= 1
 
 
 def test_membership_rejects_beyond_dual_body():
@@ -274,13 +289,30 @@ def test_exact_fallback_when_eigenvector_witness_fails(monkeypatch):
     assert form_value(rows, verdict.witness) < 0
 
 
+def without_twins(f):
+    """f with each coefficient c_uv moved by u v / n^3 and the average put
+    back to 1: no two vertices are twins, so the twin group is trivial."""
+    n = f.n
+    g = LinearFunctional(
+        n,
+        f.constant,
+        {e: c + Fraction(e.u * e.v, n**3) for e, c in f.linear_coefficients().items()},
+    )
+    avg = average_on_x(g)
+    return LinearFunctional(n, g.constant / avg, {e: c / avg for e, c in g.coeff.items()})
+
+
 def test_exact_fallback_refused_above_its_cap(monkeypatch, tmp_path):
-    # n = 24 reduces to r = 276 - 23 = 253 coordinates, where Bareiss would
-    # take tens of seconds: a resource limit (exit 3), not a long run
+    # without twins n = 24 reduces to r = 276 - 23 = 253 coordinates, where
+    # Bareiss would take tens of seconds: a resource limit (exit 3), not a
+    # long run
     n, m = 24, 5
     assert n * (n - 1) // 2 - (n - 1) > EXACT_FALLBACK_CAP
     a = math.isqrt(n) + 1
-    f = combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+    f = without_twins(combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n)))
+    cf = closed_form_k1(f)
+    assert twin_classes(cf.C).tolist() == list(range(n))
+    assert len(_adapted_quotient(cf)[2]) == 253
     top_vector_first(monkeypatch)
     with pytest.raises(ResourceLimitError, match="exact fallback"):
         membership_p1(f)
@@ -355,31 +387,30 @@ def test_boundary_facets_certified_without_eigendecomposition(monkeypatch):
             assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky")
 
 
-def test_structural_quotient_leaves_a_definite_block():
-    # exactly: the kept block is nonsingular and has the rank of M, so the
-    # dropped coordinates pair with the whole kernel
+def test_adapted_quotient_keeps_the_rank_block_by_block():
+    # exactly: each kept block of a type rho is definite, and the blocks
+    # weighted by dim(rho) add up to the rank of M, so the dropped
+    # coordinates pair with the whole kernel
     for n in (6, 7):
         fs = boundary_facets(n) + (
             make_edge_bound(n, edge(2, 3), "lower"),
             make_edge_bound(n, edge(2, 3), "upper"),
             make_ones(n),
+            make_subtour(n, {1, 2, 3}),
+            make_two_matching(n, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)]),
         )
         for f in fs:
             cf = closed_form_k1(f)
-            keep = _reduced_coordinates(cf)
-            kept = exact_ldlt(cf.numerators(keep).tolist())
-            assert kept.is_psd and kept.rank == len(keep)
-            assert exact_ldlt(cf.numerators().tolist()).rank == len(keep)
-
-
-def test_pairing_vertex_choice():
-    n = 5
-    assert _pairing_vertex(n, [], []) == (1, [])
-    assert _pairing_vertex(n, [edge(1, 2)], [edge(1, 3)]) == (4, [edge(1, 3)])
-    # every vertex touched
-    assert _pairing_vertex(n, [edge(1, 2), edge(3, 4)], [edge(4, 5)]) == (1, [])
-    # n - 2 copies make the kernel matrix singular
-    assert _pairing_vertex(n, [], [edge(1, 2), edge(1, 3), edge(2, 3)]) == (1, [])
+            G, U, keep = _adapted_quotient(cf)
+            _, shape = adapted_basis(twin_classes(cf.C))
+            types, dims = shape.types, shape.dims
+            total = 0
+            for rho in set(types.tolist()):
+                block = [i for i in keep if types[i] == rho]
+                kept = exact_ldlt(G.numerators(block).tolist())
+                assert kept.is_psd and kept.rank == len(block)
+                total += int(dims[block[0]]) * kept.rank if block else 0
+            assert total == exact_ldlt(cf.numerators().tolist()).rank
 
 
 def test_deflation_certifies_a_kernel_not_read_from_the_rows():
@@ -387,7 +418,8 @@ def test_deflation_certifies_a_kernel_not_read_from_the_rows():
     # no column of A repeats column 0: its kernel is found numerically
     A = np.array([[1, 2, 0, 1, 3], [0, 1, 1, 2, 1], [2, 0, 1, 1, 1]])
     M = as_matrix((A.T @ A).tolist())
-    assert M.zero_rows() == [] and M.constant_row_copies() == []
+    assert M.zero_rows() == []
+    assert not any(np.array_equal(M.N[i], M.N[0]) for i in range(1, 5))
     verdict = _decide_reduced(M, list(range(5)))
     assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky+deflation")
 
@@ -619,3 +651,140 @@ def test_k2_at_n8_without_bareiss(monkeypatch):
     assert verdict.status == "NOT_PSD"
     M = moment_matrix_enumerated_cycles(n, f, 2)
     assert M.dim == 435 and M.quadratic_form(verdict.witness) < 0
+
+
+def unit_average(n, constant, coeff):
+    """The functional constant + sum coeff_e x_e scaled to average 1 on the
+    tours, or None when its average is 0."""
+    g = LinearFunctional(n, Fraction(constant), coeff)
+    avg = average_on_x(g)
+    if avg == 0:
+        return None
+    return LinearFunctional(n, g.constant / avg, {e: c / avg for e, c in coeff.items()})
+
+
+def class_structured_functional(n, rng):
+    """Coefficients constant on the edges within and between the blocks of a
+    random partition of the vertices: a nontrivial twin group."""
+    block = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    value = {}
+    coeff = {}
+    for e in all_edges(n):
+        key = tuple(sorted((block[e.u - 1], block[e.v - 1])))
+        if key not in value:
+            value[key] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        coeff[e] = value[key]
+    return unit_average(n, rng.randint(-3, 3), coeff)
+
+
+def asymmetric_functional(n, rng):
+    """Random coefficients on every edge: almost surely no twins."""
+    coeff = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in all_edges(n)}
+    return unit_average(n, rng.randint(-3, 3), coeff)
+
+
+def test_p1_agrees_with_bareiss_on_the_whole_matrix():
+    # the adapted quotient against fraction-free Bareiss on the whole
+    # closed-form matrix, for every facet kind, convex combinations, sqrt-n
+    # mixes, and random functionals with and without twins; witnesses are
+    # checked on the whole matrix, and on the enumerated one at n <= 8
+    rng = random.Random(11)
+    methods = set()
+    for n in range(3, 11):
+        a = math.isqrt(n) + 1
+        # the upper edge bound degenerates at n = 3
+        fs = [f for verts in (list(range(1, n + 1)), rng.sample(range(1, n + 1), n))
+              for f in benchmark_facets(n, verts)] if n > 3 else [make_ones(n)]
+        fs += [combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n))
+               for m in range(2, n - 1)]
+        if n >= 5:
+            fs += [random_facet_mix(n, rng) for _ in range(3)]
+        fs += [class_structured_functional(n, rng) for _ in range(8)]
+        fs += [asymmetric_functional(n, rng) for _ in range(3)]
+        for f in filter(None, fs):
+            verdict = membership_p1(f)
+            M = closed_form_k1(f)
+            assert verdict.is_psd == is_psd_exact(M).is_psd
+            if not verdict.is_psd:
+                assert M.quadratic_form(verdict.witness) < 0
+                if n <= 8:
+                    E = moment_matrix_enumerated_cycles(n, f, 1)
+                    assert E.quadratic_form(verdict.witness) < 0
+            methods.add((verdict.status, verdict.method))
+    assert {("PSD", "certified-cholesky"), ("NOT_PSD", "eigenvector-witness")} <= methods
+
+
+def diagonal_coincidence(n, rng):
+    """An average-1 functional without twins whose row of the edge 1-2 has
+    the diagonal of a copy of the constant row, E[f x_12] = E[f], without
+    being one."""
+    e = edge(1, 2)
+    j = 1 + edge_index(e, n)
+    base = {h: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for h in all_edges(n)}
+
+    def moments(c0, ce):
+        cf = closed_form_k1(LinearFunctional(n, Fraction(c0), {**base, e: Fraction(ce)}))
+        return cf.entry(0, 0), cf.entry(0, j)
+
+    (a0, b0), (a1, b1), (a2, b2) = moments(0, 0), moments(1, 0), moments(0, 1)
+    # solve a0 + c0 (a1 - a0) + ce (a2 - a0) = 1 = b0 + c0 (b1 - b0) + ce (b2 - b0)
+    det = (a1 - a0) * (b2 - b0) - (a2 - a0) * (b1 - b0)
+    c0 = ((1 - a0) * (b2 - b0) - (a2 - a0) * (1 - b0)) / det
+    ce = ((a1 - a0) * (1 - b0) - (1 - a0) * (b1 - b0)) / det
+    return LinearFunctional(n, c0, {**base, e: ce})
+
+
+def test_quotient_reads_its_kernel_vectors_from_g_exactly():
+    # the zero rows of G and its orbit rows |O| times the constant row, found
+    # by brute force, give the kept coordinates, and G annihilates every
+    # quotient vector: facets, random functionals with and without twins,
+    # and a functional whose edge row has the diagonal of a copy without
+    # being one
+    rng = random.Random(12)
+    fs = [diagonal_coincidence(7, rng)]
+    for n in (6, 7, 9):
+        fs += list(benchmark_facets(n, rng.sample(range(1, n + 1), n)))
+        fs += [class_structured_functional(n, rng) for _ in range(6)]
+        fs += [asymmetric_functional(n, rng)]
+    seen_copy = seen_coincidence = False
+    for f in filter(None, fs):
+        cf = closed_form_k1(f)
+        G, U, keep = _adapted_quotient(cf)
+        shape = adapted_basis(twin_classes(cf.C))[1]
+        rows = G.N.tolist()
+        sizes = shape.orbit_sizes.tolist()
+        zero = tuple(i for i, row in enumerate(rows) if not any(row))
+        copies = tuple(
+            i for i, row in enumerate(rows)
+            if sizes[i] and row == [sizes[i] * x for x in rows[0]]
+        )
+        assert keep == list(kept_coordinates(shape.sizes, zero, copies))
+        assert G.annihilates(quotient_vectors(shape.sizes, zero, copies))
+        seen_copy |= bool(copies)
+        seen_coincidence |= any(
+            sizes[i] and i not in copies and rows[i][i] == sizes[i] ** 2 * rows[0][0]
+            for i in range(len(rows))
+        )
+    assert seen_copy and seen_coincidence
+
+
+def test_off_block_check_catches_a_non_invariant_matrix(monkeypatch, tmp_path):
+    # N + w w^T with w = x_12 - x_23 + x_34 - x_14: w has zero vertex sums,
+    # so the degree relations still annihilate it and the star check passes,
+    # but it is not invariant under the twin group S_{1,2,3} x S_{4..7} of a
+    # subtour facet; on int64 and on Python-int numerators
+    n = 7
+    w = np.zeros(1 + n * (n - 1) // 2, dtype=np.int64)
+    for (u, v), s in (((1, 2), 1), ((2, 3), -1), ((3, 4), 1), ((1, 4), -1)):
+        w[1 + edge_index(edge(u, v), n)] = s
+    a = Fraction(10**19 + 1, 10**19 + 3)
+    for f in (make_subtour(n, {1, 2, 3}), combine(a, make_subtour(n, {1, 2, 3}), 1 - a, make_ones(n))):
+        cf = closed_form_k1(f)
+        bad = with_numerators(cf, cf.N + np.outer(w, w).astype(cf.N.dtype))
+        assert bad.star_kernel_verified()
+        monkeypatch.setattr(psd, "closed_form_k1", lambda g: bad)
+        with pytest.raises(RuntimeError, match="not invariant under the twin group"):
+            membership_p1(f)
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps(functional_to_spec(f)))
+        assert cli.run(["membership", "--func", str(spec)]) == cli.EXIT_INTERNAL
