@@ -51,12 +51,25 @@ class LdltResult:
 def integer_matmul(A: np.ndarray, B: np.ndarray, a_max: int | None = None) -> np.ndarray:
     """Exact A @ B for integer arrays, as an integer array: float64 BLAS
     while every partial sum is an integer below 2^53, int64 below 2^63,
-    Python ints beyond.  `a_max` bounds |A| when the caller knows it."""
+    Python ints beyond.  `a_max` bounds |A| when the caller knows it.
+
+    The partial sums are bounded by a_max times the largest column sum of
+    |B|.  Summed in int64 those sums would wrap modulo 2^64 exactly when
+    they matter, so a fixed-width B is summed in float64 and the sum is
+    raised by (rows + 2) units of 2^-52, more than its rounding error; a
+    B of Python ints is summed exactly."""
     if a_max is None:
-        a_max = int(np.abs(A).max(initial=0))
-    bound = a_max * int(np.abs(B).sum(axis=0).max(initial=0))
+        a_max = max(int(A.max(initial=0)), -int(A.min(initial=0)))
+    if B.dtype == object:
+        Bf = None
+        col = int(np.abs(B).sum(axis=0).max(initial=0))
+    else:
+        Bf = np.asarray(B, dtype=float)
+        col = math.ceil(np.abs(Bf).sum(axis=0).max(initial=0) * (1 + (len(B) + 2) * 2.0**-52))
+    bound = a_max * col
     if bound < 2**53:
-        return (A.astype(float) @ B.astype(float)).astype(np.int64)
+        Bf = B.astype(float) if Bf is None else Bf
+        return (A.astype(float) @ Bf).astype(np.int64)
     dt = np.int64 if bound < 2**63 else object
     return A.astype(dt) @ B.astype(dt)
 

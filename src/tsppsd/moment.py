@@ -164,6 +164,11 @@ class MomentMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def max_abs(self) -> int:
+        """max |N|, which bounds every exact product with N."""
+        return self._max_abs
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentMatrix):
             return NotImplemented

@@ -19,7 +19,9 @@ enumerated tours, up to the cycle cap.  The pipeline, fastest first:
      and f, hence M, is invariant under the symmetric groups of the twin
      classes (`symmetry`).  M is taken to G = U^T N U / scale in an
      integer symmetry-adapted basis U, one column per copy of each
-     irreducible representation, by one exact product; G vanishes between
+     irreducible representation; U is sparse, so G is formed exactly
+     from signed sums of rows of N, in dim * nnz(U) additions, and a
+     witness y of G lifts to U y, checked on M.  G vanishes between
      representation types (checked exactly) and M is PSD iff G is.  The
      kernel vectors of G known exactly are the images of the degree
      relations (one per class, one per class of two or more vertices), the
@@ -79,7 +81,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, LinearFunctional, average_on_x
-from tsppsd.linalg import certified_pd, exact_ldlt, integer_matmul
+from tsppsd.linalg import certified_pd, exact_ldlt
 from tsppsd.moment import (
     ClosedFormK1,
     DEFAULT_BASIS_CAP,
@@ -93,7 +95,7 @@ from tsppsd.moment import (
 )
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
 from tsppsd.rational import clear_denominators
-from tsppsd.symmetry import adapted_basis, kept_coordinates, twin_classes
+from tsppsd.symmetry import AdaptedBasis, adapted_basis, kept_coordinates, twin_classes
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
@@ -190,8 +192,12 @@ def membership_p1(
     verdict = _lifted(_decide_reduced(G, keep), keep, G.dim)
     if U is None or verdict.witness is None:
         return verdict
-    w = integer_matmul(U, np.array(verdict.witness, dtype=object)[:, None], 1)
-    return replace(verdict, witness=tuple(w[:, 0].tolist()))
+    w = U.times(verdict.witness).tolist()
+    # w^T N w = y^T G y when G is exact; checked on M, so a wrong G cannot
+    # pass a witness
+    if cf.quadratic_form(w) >= 0:
+        raise RuntimeError("lifted witness does not certify")
+    return replace(verdict, witness=tuple(w))
 
 
 def _lifted(verdict: PsdVerdict, keep: list[int], dim: int) -> PsdVerdict:
@@ -207,7 +213,7 @@ def _lifted(verdict: PsdVerdict, keep: list[int], dim: int) -> PsdVerdict:
 
 def _adapted_quotient(
     cf: ClosedFormK1,
-) -> tuple[MomentMatrix, np.ndarray | None, list[int]]:
+) -> tuple[MomentMatrix, AdaptedBasis | None, list[int]]:
     """The matrix G = U^T N U / scale of the form in the adapted basis U of
     the twin group of f (`symmetry`; G = M and U = None when the group is
     trivial), and the coordinates of a complement in G of the kernel
@@ -229,9 +235,10 @@ def _adapted_quotient(
     U, shape = adapted_basis(twin_classes(cf.C))
     G: MomentMatrix = cf
     if U is not None:
-        N = integer_matmul(U.T, cf.product(U), 1)
-        t = shape.types
-        if np.any(N[t[:, None] != t]):
+        N = U.gram(cf.N, cf.max_abs)
+        # the unit columns are trivial, so only the others can meet another type
+        t, o = shape.types, U.others
+        if np.any(N[:, o][t[:, None] != t[o]]):
             raise RuntimeError("moment matrix not invariant under the twin group")
         index = range(len(N))
         G = MomentMatrix(

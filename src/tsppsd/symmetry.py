@@ -28,7 +28,11 @@ equivariant maps:
 * std_i (x) std_j (dimension (|I_i| - 1)(|I_j| - 1)), for |I_i|, |I_j| >= 2
   with a, b the first two members of I_j: x_pa - x_qa - x_pb + x_qb.
 
-Let U be the matrix of these columns.  By Schur's lemma G = U^T N U
+Let U be the matrix of these columns.  Its entries are 0 and +-1, and
+few: the orbit indicators partition the edges, a copy of std has at most
+2 (n - 2) entries, and the others four.  So G below is formed by signed
+sums of rows of N (`AdaptedBasis.gram`), in about (1 + C(n, 2)) * nnz(U)
+additions, however few twins there are.  By Schur's lemma G = U^T N U
 vanishes between columns of different types, and N on the isotypic
 component of type rho is congruent to (the block of G on the copies of
 rho) (x) I_dim(rho).  So M is PSD iff G is, and y^T G y < 0 gives the
@@ -63,10 +67,11 @@ class BasisShape:
     holds the images y of the degree relations
     (D_v = 2 e_0 - sum_{e at v} x_e): U y = -sum_{v in I_i} D_v for each
     class, and U y = D_q - D_p for each class with |I_i| >= 2 and p, q its
-    first two members.  `entries` are the nonzero entries of U as
-    (rows, columns, values) when each class is a run of consecutive
-    vertices, and None when every class is a singleton: the group is then
-    trivial and U is the identity.
+    first two members.  `basis` is U when each class is a run of
+    consecutive vertices, and None when every class is a singleton: the
+    group is then trivial and U is the identity.  Its rows are then the
+    coordinates of the edges of K_n with the classes in that order, and its
+    arrays are read-only.
     """
 
     sizes: tuple[int, ...]
@@ -74,7 +79,7 @@ class BasisShape:
     dims: np.ndarray
     orbit_sizes: np.ndarray
     relations: np.ndarray
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    basis: AdaptedBasis | None
 
 
 def twin_classes(C: np.ndarray) -> np.ndarray:
@@ -91,22 +96,89 @@ def twin_classes(C: np.ndarray) -> np.ndarray:
     return np.cumsum(first == np.arange(len(C)))[first] - 1
 
 
-def adapted_basis(classes: np.ndarray) -> tuple[np.ndarray | None, BasisShape]:
-    """The integer (1 + C(n, 2)) x c matrix U of the adapted basis for the
-    twin class of each vertex of K_n, numbered 0..r-1 in the order of the
-    smallest member (`twin_classes`), or None when U is the identity, and
-    its shape: the basis of `basis_shape` with the vertices relabeled."""
+_BLOCK = 2**18  # gathered entries held at once by `AdaptedBasis._sum_rows`
+
+
+@dataclass(frozen=True)
+class AdaptedBasis:
+    """The adapted basis U, (1 + C(n, 2)) x c with entries 0 and +-1, in
+    two parts.  The unit columns, at `units`, have a single entry 1 at the
+    rows `pick`.  The other columns are listed in `others` and stored in
+    `chunks` (a, b, R, W): for i < b - a, the (a + i)-th other column has
+    entries W[i, j] at the rows R[i, j], W None meaning all 1 (a weight 0
+    pads a short column).  A column in several chunks is their sum.  Each
+    R has at most max(1, _BLOCK // dim) entries, so a chunk of the rows of
+    a matrix with `dim` columns or fewer holds at most _BLOCK entries, or
+    one row.  `reach` is the largest number of entries in a column."""
+
+    units: np.ndarray
+    pick: np.ndarray
+    others: np.ndarray
+    chunks: tuple[tuple[int, int, np.ndarray, np.ndarray | None], ...]
+    dim: int
+    reach: int
+
+    def relabeled(self, row: np.ndarray) -> AdaptedBasis:
+        """The basis with each row i moved to row[i]."""
+        chunks = tuple((a, b, row[R], W) for a, b, R, W in self.chunks)
+        return AdaptedBasis(
+            self.units, row[self.pick], self.others, chunks, self.dim, self.reach
+        )
+
+    def _sum_rows(self, X: np.ndarray) -> np.ndarray:
+        """U[:, others]^T X for an integer array X with `dim` rows and at
+        most `dim` columns, in the dtype of X, one chunk at a time.  Exact
+        when a sum of `reach` entries of X cannot overflow."""
+        out = np.zeros((len(self.others), X.shape[1]), dtype=X.dtype)
+        for a, b, R, W in self.chunks:
+            part = X[R]
+            out[a:b] += part.sum(axis=1) if W is None else np.matmul(W[:, None], part)[:, 0]
+        return out
+
+    def gram(self, N: np.ndarray, max_abs: int) -> np.ndarray:
+        """Exact U^T N U for a symmetric integer matrix N with |N| <=
+        max_abs: int64 when max_abs * reach^2 < 2^63, which bounds every
+        entry and partial sum, Python ints otherwise.  Between unit columns
+        it is N at their rows; the rows and columns of the other columns O
+        are U^T (N U_O), with N U_O = (U_O^T N)^T as N is symmetric.  The
+        cost is dim * nnz(U_O) additions, and copies of the c^2 entries."""
+        if N.dtype != object and max_abs * self.reach**2 >= 2**63:
+            N = N.astype(object)
+        c = len(self.units) + len(self.others)
+        NU = np.ascontiguousarray(self._sum_rows(N).T)
+        side = np.empty((c, len(self.others)), dtype=N.dtype)
+        side[self.units] = NU[self.pick]
+        side[self.others] = self._sum_rows(NU)
+        G = np.empty((c, c), dtype=N.dtype)
+        G[:, self.others] = side
+        G[self.others] = side.T
+        G[np.ix_(self.units, self.units)] = N.take(self.pick, 0).take(self.pick, 1)
+        return G
+
+    def times(self, y) -> np.ndarray:
+        """U y for an integer vector y, in Python ints."""
+        y = np.array(y, dtype=object)
+        w = np.zeros(self.dim, dtype=object)
+        w[self.pick] = y[self.units]  # distinct coordinates
+        for a, b, R, W in self.chunks:
+            x = y[self.others[a:b], None]
+            np.add.at(w, R, x if W is None else x * W)
+        return w
+
+
+def adapted_basis(classes: np.ndarray) -> tuple[AdaptedBasis | None, BasisShape]:
+    """The adapted basis U of the twin class of each vertex of K_n,
+    numbered 0..r-1 in the order of the smallest member (`twin_classes`),
+    or None when U is the identity, and its shape: the basis of
+    `basis_shape` with the vertices relabeled."""
     order = np.argsort(classes, kind="stable")  # the vertices class by class
     shape = basis_shape(tuple(np.bincount(classes).tolist()))
-    if shape.entries is None:
+    if shape.basis is None:
         return None, shape
     table, eu, ev = _coordinates(len(classes))
     # the coordinate of each class-order edge among the edges of f
     row = np.concatenate(([0], table[order[eu], order[ev]]))
-    rows, cols, vals = shape.entries
-    U = np.zeros((len(row), len(shape.types)), dtype=np.int64)
-    U[row[rows], cols] = vals
-    return U, shape
+    return shape.basis.relabeled(row), shape
 
 
 @functools.lru_cache(maxsize=64)
@@ -181,7 +253,7 @@ def basis_shape(sizes: tuple[int, ...]) -> BasisShape:
     relations[np.arange(1, trivial), ohi] += 1
     relations[trivial + np.arange(std), r + owner] = 1
 
-    entries = None
+    basis = None
     if r < n:
         p, q = start[big], start[big] + 1
         k, w = np.nonzero((np.arange(n) != p[:, None]) & (np.arange(n) != q[:, None]))
@@ -196,13 +268,57 @@ def basis_shape(sizes: tuple[int, ...]) -> BasisShape:
                     m[:, 0], m[:, 2], m[:, 1], m[:, 3]),
             _square(table, c - len(bi) + np.arange(len(bi)), p[bi], q[bi], p[bj], q[bj]),
         ]
-        entries = tuple(
+        rows, cols, vals = (
             np.concatenate([np.asarray(part[i], dtype=np.int64) for part in parts])
             for i in range(3)
         )
-    for a in (types, dims, orbit_sizes, relations, *(entries or ())):
+        basis = _chunked(rows, cols, vals, c, 1 + E)
+    for a in (types, dims, orbit_sizes, relations):
         a.flags.writeable = False
-    return BasisShape(sizes, types, dims, orbit_sizes, relations, entries)
+    return BasisShape(sizes, types, dims, orbit_sizes, relations, basis)
+
+
+def _chunked(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, c: int, dim: int
+) -> AdaptedBasis:
+    """The basis with the nonzero entries U[rows[t], cols[t]] = vals[t]."""
+    count = np.bincount(cols, minlength=c)
+    unit = (count == 1) & (np.bincount(cols, weights=vals, minlength=c) == 1)
+    units = np.flatnonzero(unit)
+    pick = np.zeros(c, dtype=np.int64)
+    pick[cols[unit[cols]]] = rows[unit[cols]]
+    pick = pick[units]
+    # the other columns by their number of entries, then their entries
+    # column by column, at start[j]..start[j] + k[j] - 1 for the j-th one
+    others = np.flatnonzero(~unit)
+    others = others[np.argsort(count[others], kind="stable")]
+    place = np.zeros(c, dtype=np.int64)
+    place[others] = np.arange(len(others))
+    e = np.flatnonzero(~unit[cols])
+    e = e[np.argsort(place[cols[e]], kind="stable")]
+    rows, vals, k = rows[e], vals[e], count[others]
+    start = np.cumsum(k) - k
+    cap = max(1, _BLOCK // dim)  # gathered rows per chunk
+    chunks, a = [], 0
+    while a < len(others):
+        b = a + 1
+        if k[a] > cap:  # one column, cap entries at a time
+            parts = [(start[a] + np.arange(lo, min(k[a], lo + cap))[None, :], False)
+                     for lo in range(0, k[a], cap)]
+        else:  # the columns that fit, padded to the longest with weight 0
+            while b < len(others) and (b + 1 - a) * k[b] <= cap:
+                b += 1
+            j = np.arange(k[b - 1])
+            pad = j >= k[a:b, None]
+            parts = [(start[a:b, None] + np.where(pad, 0, j), pad)]
+        for at, pad in parts:
+            W = np.where(pad, 0, vals[at])
+            chunks.append((a, b, rows[at], None if np.all(W == 1) else W))
+        a = b
+    arrays = [x for chunk in chunks for x in chunk[2:] if x is not None]
+    for x in (units, pick, others, *arrays):
+        x.flags.writeable = False
+    return AdaptedBasis(units, pick, others, tuple(chunks), dim, int(count.max()))
 
 
 def _square(table: np.ndarray, cols, p, r, q, s) -> tuple:

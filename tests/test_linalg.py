@@ -193,3 +193,22 @@ def test_integer_matmul_is_exact_in_every_regime():
     assert all(isinstance(x, int) for x in P.ravel().tolist())
     assert integer_matmul(np.ones((3, 2), dtype=np.int64),
                           np.zeros((2, 0), dtype=np.int64)).shape == (3, 0)
+
+
+def test_integer_matmul_bound_does_not_wrap_in_int64():
+    # int64 operands whose column sums of |B| reach 2^64, which int64
+    # arithmetic wraps to 0, and an A holding INT64_MIN, whose abs wraps
+    ones = np.ones((1, 4), dtype=np.int64)
+    for B in ([[2**62]] * 4, [[2**62], [2**62], [-(2**62)], [-(2**62)]],
+              [[2**62 - 1]] * 4, [[2**61 + 3]] * 3):
+        B = np.array(B, dtype=np.int64)
+        want = [[sum(x for (x,) in B.tolist())]]
+        assert integer_matmul(ones[:, : len(B)], B).tolist() == want
+        assert integer_matmul(ones[:, : len(B)], B, 1).tolist() == want
+    A = np.array([[-(2**63), 0]], dtype=np.int64)
+    B = np.array([[3], [1]], dtype=np.int64)
+    assert integer_matmul(A, B).tolist() == [[-3 * 2**63]]
+    # partial sums just below and just above 2^53, each exact
+    for x in (2**52 - 1, 2**52, 2**52 + 1):
+        B = np.array([[x], [x]], dtype=np.int64)
+        assert integer_matmul(np.ones((1, 2), dtype=np.int64), B).tolist() == [[2 * x]]

@@ -47,7 +47,13 @@ from tsppsd.psd import (
     zero_one_collapse_check,
 )
 from tsppsd.spectra import residual_pair
-from tsppsd.symmetry import adapted_basis, kept_coordinates, quotient_vectors, twin_classes
+from tsppsd.symmetry import (
+    AdaptedBasis,
+    adapted_basis,
+    kept_coordinates,
+    quotient_vectors,
+    twin_classes,
+)
 
 
 def as_matrix(rows):
@@ -766,6 +772,23 @@ def test_quotient_reads_its_kernel_vectors_from_g_exactly():
             for i in range(len(rows))
         )
     assert seen_copy and seen_coincidence
+
+
+def test_lifted_witness_is_checked_on_the_whole_matrix(monkeypatch):
+    # a G with one diagonal entry lowered is indefinite while M is PSD: the
+    # witness y of G lifts to U y, and w^T N w = y^T G y >= 0 on the true G
+    f = make_subtour(7, {1, 2, 3})
+    gram = AdaptedBasis.gram
+
+    def lowered(self, N, max_abs):
+        G = gram(self, N, max_abs)
+        G[-1, -1] -= 10**6 * abs(int(G[-1, -1])) + 1
+        return G
+
+    assert membership_p1(f).is_psd
+    monkeypatch.setattr(AdaptedBasis, "gram", lowered)
+    with pytest.raises(RuntimeError, match="lifted witness does not certify"):
+        membership_p1(f)
 
 
 def test_off_block_check_catches_a_non_invariant_matrix(monkeypatch, tmp_path):

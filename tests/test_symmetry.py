@@ -4,10 +4,24 @@ import random
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from tsppsd.cycles import all_edges
+from tsppsd.functionals import combine, make_ones, make_subtour
 from tsppsd.linalg import exact_ldlt
-from tsppsd.moment import degree_relations
+from tsppsd.moment import closed_form_k1, degree_relations
+from tsppsd.psd import _adapted_quotient, membership_p1
 from tsppsd.symmetry import adapted_basis, basis_shape, twin_classes
+
+
+def dense(U, dtype=np.int64):
+    """The adapted basis as a dense matrix, from its parts."""
+    A = np.zeros((U.dim, len(U.units) + len(U.others)), dtype=dtype)
+    A[U.pick, U.units] = 1
+    for a, b, R, W in U.chunks:
+        cols = np.broadcast_to(U.others[a:b, None], R.shape)
+        np.add.at(A, (R, cols), 1 if W is None else W)
+    return A
 
 
 def brute_force_classes(C):
@@ -71,6 +85,23 @@ def test_adapted_basis_spans_the_space_in_blocks(sizes):
     if U is None:
         assert all(s == 1 for s in sizes) and c == 1 + math.comb(n, 2)
         return
+    # the chunks cover the other columns in order, each no larger than its
+    # bound; every other column has distinct rows and is no unit column,
+    # and the unit columns pick distinct rows, e_0 first
+    assert sorted(U.units.tolist() + U.others.tolist()) == list(range(c))
+    cover = [x for a, b, _, _ in U.chunks for x in range(a, b)]
+    assert sorted(set(cover)) == list(range(len(U.others)))
+    assert all(R.size <= max(1, (1 << 18) // U.dim) for _, _, R, _ in U.chunks)
+    A = dense(U)
+    other = A[:, U.others]
+    assert np.all(np.abs(other) <= 1)
+    assert not np.any((np.count_nonzero(other, axis=0) == 1) & (other.sum(axis=0) == 1))
+    assert len(set(U.pick.tolist())) == len(U.pick)
+    assert U.units[0] == 0 and U.pick[0] == 0
+    assert not np.any(shape.types[U.units])  # unit columns are trivial
+    assert U.reach == np.count_nonzero(A, axis=0).max()
+    assert np.all(np.diff(shape.types) >= 0)  # one diagonal block per type
+    U = dense(U)
     gram = U.T @ U
     assert exact_ldlt(gram.tolist()).rank == c
     assert not np.any(gram[shape.types[:, None] != shape.types])
@@ -87,8 +118,7 @@ def test_relation_images_are_the_degree_relations():
         n = rng.randint(3, 11)
         classes = twin_classes(np.array(class_structured(n, rng), dtype=np.int64))
         U, shape = adapted_basis(classes)
-        if U is None:
-            U = np.eye(1 + math.comb(n, 2), dtype=np.int64)
+        U = np.eye(1 + math.comb(n, 2), dtype=np.int64) if U is None else dense(U)
         D = degree_relations(n)
         members = [np.flatnonzero(classes == i) for i in range(classes.max() + 1)]
         want = [-D[:, m].sum(axis=1) for m in members]
@@ -99,6 +129,7 @@ def test_relation_images_are_the_degree_relations():
 def test_orbit_sizes_and_types_follow_the_classes():
     classes = np.array([0, 1, 0, 1, 1, 2])  # {1, 3}, {2, 4, 5}, {6}
     U, shape = adapted_basis(classes)
+    U = dense(U)
     edges = all_edges(6)
     orbits = [j for j in range(len(shape.types)) if shape.orbit_sizes[j]]
     # the orbit indicators partition the edges
@@ -114,3 +145,57 @@ def test_orbit_sizes_and_types_follow_the_classes():
     assert len(by_orbit) == 5  # {1,3}, {1,3}x{2,4,5}, {2,4,5}, and x{6} twice
     # the shape is built once per tuple of class sizes
     assert basis_shape((2, 3, 1)) is shape
+
+
+def test_gram_and_lift_match_the_dense_products():
+    # U^T N U and U y against dense products, for random symmetric N in
+    # int64 and in Python ints and random vertex orders
+    rng = np.random.default_rng(3)
+    for sizes in ((3, 2), (1, 1, 4), (5,), (2, 2, 2), (1, 6, 1, 2)):
+        classes = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(classes)
+        first = np.unique(classes, return_index=True)[1]
+        classes = np.argsort(np.argsort(first))[classes]  # by smallest member
+        U, _ = adapted_basis(classes)
+        A = dense(U)
+        X = rng.integers(-9, 10, (U.dim, U.dim))
+        N = X + X.T
+        assert np.array_equal(U.gram(N, 18), A.T @ N @ A)
+        assert U.gram(N.astype(object) * 2**70, 18 * 2**70).tolist() == (
+            (A.T @ N @ A).astype(object) * 2**70).tolist()
+        y = rng.integers(-5, 6, A.shape[1])
+        assert U.times(y).tolist() == (A @ y).tolist()
+
+
+def test_gram_is_exact_where_int64_sums_would_wrap():
+    # an int64 N with max|N| * reach < 2^63 <= max|N| * reach^2: the entries
+    # of N U fit in int64 but some of G = U^T N U do not.  A convex mix of
+    # two members of P_1 is in P_1.
+    n, a = 16, Fraction(2**39 + 1, 2**39 + 3)
+    f = combine(a, make_subtour(n, {1, 2}), 1 - a, make_ones(n))
+    cf = closed_form_k1(f)
+    U, _ = adapted_basis(twin_classes(cf.C))
+    assert cf.N.dtype == np.int64
+    assert cf.max_abs * U.reach < 2**63 <= cf.max_abs * U.reach**2
+    G = _adapted_quotient(cf)[0].N
+    A = dense(U, object)
+    want = A.T @ cf.N.astype(object) @ A
+    assert G.tolist() == want.tolist() and np.abs(want).max() >= 2**63
+    assert membership_p1(f).is_psd
+
+
+@pytest.mark.parametrize("sizes", [(15, 45), (2,) * 30, (2,) + (1,) * 58])
+def test_chunks_hold_at_most_a_block_at_n_60(sizes):
+    # a gathered chunk holds at most 2^18 entries of a row of N (or one
+    # row), and the chunks cover each other column with its entries
+    U = basis_shape(sizes).basis
+    cap = (1 << 18) // U.dim
+    assert all(R.size <= cap for _, _, R, _ in U.chunks)
+    entries = np.zeros(len(U.others), dtype=np.int64)
+    for a, b, R, W in U.chunks:
+        live = np.ones(R.shape, dtype=bool) if W is None else W != 0
+        entries[a:b] += live.sum(axis=1)
+    n, big = sum(sizes), sum(s >= 2 for s in sizes)
+    nnz = (1 + math.comb(n, 2) + 2 * (n - 2) * big + 4 * sum(s >= 4 for s in sizes)
+           + 4 * math.comb(big, 2))
+    assert entries.sum() + len(U.units) == nnz
