@@ -11,6 +11,7 @@ byte-identical output files (timings go to stderr, never into reports).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -370,8 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use (not at import)."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -407,7 +414,7 @@ def run(argv: list[str] | None = None) -> int:
             return cmd_spectrum(cfg, args.verify)
         if args.command == "bounds":
             if not args.grid and cfg.n is None:
-                parser.error("bounds needs --n or --grid")
+                raise ValueError("bounds needs --n or --grid")
             return cmd_bounds(cfg, args.grid, args.n_max, args.oracle)
         if args.command == "verify":
             return cmd_verify(cfg, args.suite, args.n_max)

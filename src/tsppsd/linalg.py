@@ -48,6 +48,11 @@ class LdltResult:
     witness: list[int] | None  # exact v with v^T M v < 0 when not PSD
 
 
+def peak(A: np.ndarray) -> int:
+    """max |A| of an integer array as a Python int, 0 when A is empty."""
+    return max(int(A.max(initial=0)), -int(A.min(initial=0)))
+
+
 def integer_matmul(A: np.ndarray, B: np.ndarray, a_max: int | None = None) -> np.ndarray:
     """Exact A @ B for integer arrays, as an integer array: float64 BLAS
     while every partial sum is an integer below 2^53, int64 below 2^63,
@@ -59,7 +64,7 @@ def integer_matmul(A: np.ndarray, B: np.ndarray, a_max: int | None = None) -> np
     raised by (rows + 2) units of 2^-52, more than its rounding error; a
     B of Python ints is summed exactly."""
     if a_max is None:
-        a_max = max(int(A.max(initial=0)), -int(A.min(initial=0)))
+        a_max = peak(A)
     if B.dtype == object:
         Bf = None
         col = int(np.abs(B).sum(axis=0).max(initial=0))

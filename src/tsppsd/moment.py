@@ -56,7 +56,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import LinearFunctional
-from tsppsd.linalg import integer_matmul, nonsingular_block
+from tsppsd.linalg import integer_matmul, nonsingular_block, peak
 from tsppsd.polynomials import CertificatePolynomial
 from tsppsd.rational import clear_denominators, format_fraction
 
@@ -123,8 +123,9 @@ class MomentMatrix:
 
     N is an integer array, int64 when every entry fits and Python ints
     otherwise, and scale is a positive integer; every consumer works on
-    these numerators.  `entries` is a read-only Fraction view for callers
-    that want rationals.  Immutable by convention.
+    these numerators.  A subclass may pass N = None and build N on first
+    use (`ClosedFormK1`).  `entries` is a read-only Fraction view for
+    callers that want rationals.  Immutable by convention.
     """
 
     def __init__(
@@ -132,20 +133,18 @@ class MomentMatrix:
         k: int,
         basis: Sequence[Monomial],
         labels: Sequence[str],
-        N: np.ndarray,
+        N: np.ndarray | None,
         scale: int,
         n: int | None = None,  # vertex count when built over tours of K_n
     ):
         self.k = k
         self.basis = tuple(basis)
         self.labels = tuple(labels)
-        self.N = N
+        if N is not None:
+            self.N = N
         self.scale = scale
         self.n = n
         self._fractions: dict[int, Fraction] = {}
-        self._max_abs = max(int(N.max()), -int(N.min()))
-        # both operands exact in float64, so one correctly rounded division
-        self._float_exact = self._max_abs < 2**53 and scale < 2**53
 
     @classmethod
     def from_rows(
@@ -164,10 +163,15 @@ class MomentMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @functools.cached_property
     def max_abs(self) -> int:
         """max |N|, which bounds every exact product with N."""
-        return self._max_abs
+        return peak(self.N)
+
+    @functools.cached_property
+    def _float_exact(self) -> bool:
+        # both operands exact in float64, so one correctly rounded division
+        return self.max_abs < 2**53 and self.scale < 2**53
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomentMatrix):
@@ -178,7 +182,7 @@ class MomentMatrix:
             return False
         # N / scale == N' / scale' iff N * scale' == N' * scale
         a, b = self.N, other.N
-        if max(self._max_abs, other._max_abs, self.scale, other.scale) ** 2 >= 2**63:
+        if max(self.max_abs, other.max_abs, self.scale, other.scale) ** 2 >= 2**63:
             a, b = a.astype(object), b.astype(object)
         return bool(np.array_equal(a * other.scale, b * self.scale))
 
@@ -226,7 +230,7 @@ class MomentMatrix:
         """Bound on |float_matrix() - M| per entry, rounded outward."""
         if self._float_exact:
             # a correctly rounded value is within 2^-53 of it, relatively
-            worst = Fraction(self._max_abs, self.scale * 2**53)
+            worst = Fraction(self.max_abs, self.scale * 2**53)
         else:
             worst = max(
                 abs(Fraction(x / self.scale) - Fraction(x, self.scale))
@@ -239,7 +243,7 @@ class MomentMatrix:
         """Exact N[keep, keep] @ X for an integer matrix X, as an integer
         array (`linalg.integer_matmul`).  An X without columns gives the
         empty product."""
-        return integer_matmul(self.numerators(keep), X, self._max_abs)
+        return integer_matmul(self.numerators(keep), X, self.max_abs)
 
     def annihilates(self, X: np.ndarray, keep: Sequence[int] | None = None) -> bool:
         """Exact test that M, restricted to `keep`, maps every column of the
@@ -523,14 +527,45 @@ def containment_probability(n: int, E: Iterable[Edge]) -> Fraction:
     return Fraction(count_cycles_with_edge_set(n, E), num_cycles(n))
 
 
-def _path_probability(n: int, k: int, m: int) -> Fraction:
-    """Fraction of tours of K_n containing a fixed system of m vertex-disjoint
-    paths with k edges in total; 0 when no such system fits in K_n."""
-    if m == 0:
-        return Fraction(1)
-    if k + m > n:
-        return Fraction(0)
-    return Fraction(2 ** (m - 1) * factorial(n - k - 1), num_cycles(n))
+@functools.lru_cache(maxsize=64)
+def _path_counts(n: int) -> tuple[int, ...]:
+    """|X| = num_cycles(n), then, for (k, m) = (1, 1), (2, 1), (2, 2), (3, 1),
+    (3, 2) and (3, 3), the number of tours of K_n containing a fixed system
+    of m vertex-disjoint paths with k edges in total: 2^(m-1) (n-k-1)!, or
+    0 when no such system fits in K_n."""
+    return (num_cycles(n),) + tuple(
+        2 ** (m - 1) * factorial(n - k - 1) if k + m <= n else 0
+        for k, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3))
+    )
+
+
+def _closed_form_weights(
+    n: int, const: int, total: int
+) -> tuple[list[list[int]], int, int]:
+    """The weights of the degree-1 closed form for the integer constant and
+    the total of the integer coefficients of den * f: the coefficients of
+    (1, t_a+t_b, c_a+c_b, (BCB^T)_ab, (B diag(s) B^T)_ab) for disjoint,
+    adjacent and equal edge pairs (3 x 5) and the corner, all as integers
+    in units of 1/(den R), and R, the least common denominator of these
+    weights in units of 1/den.
+
+    Each weight is an integer combination of path counts over |X|, or half
+    of one, so it is an integer w over 2|X|: its reduced denominator is
+    2|X| / gcd(w, 2|X|), and R is the lcm of those."""
+    T, p1, p2a, p2d, p31, p32, p33 = _path_counts(n)
+    tri = T if n == 3 else 0  # a closed triangle is a tour only at n = 3
+    W = [
+        [const * p2d + total * p33, p32 - p33, p2d - 2 * p32 + p33,
+         p31 - 2 * p32 + p33, 0],
+        [const * p2a + total * p32, p31 - p32, p2a + p31 - tri,
+         p32 - 2 * p31 + tri, p32 - 2 * p31],
+        [const * p1 + total * p2d, 0, 0, 0, p2a - p2d],
+    ]
+    W = [[2 * w for w in row] for row in W]
+    W[2][2] = p1 - 2 * p2a + p2d  # the one weight that is halved
+    corner = 2 * (const * T + total * p1)
+    R = math.lcm(*(2 * T // math.gcd(w, 2 * T) for w in [corner, *sum(W, [])]))
+    return [[w * R // (2 * T) for w in row] for row in W], corner * R // (2 * T), R
 
 
 @dataclass(frozen=True)
@@ -673,18 +708,19 @@ def degree_relations(n: int) -> np.ndarray:
     return tour_relations(n, 1)
 
 
-_STAR_BLOCK = 2**16  # entries of N gathered at once by the degree-relation check
+_STAR_BLOCK = 2**16  # entries gathered at once by the degree-relation check
 
 
 class ClosedFormK1(MomentMatrix):
-    """Degree-1 closed-form moment matrix M = N / scale.
+    """Degree-1 closed-form moment matrix M = N / scale, read row by row.
 
     Basis order: the constant monomial, then the edges of K_n
     lexicographically.  Entry (a, b) of two edges is
     const * P(a u b) + sum_e c_e * P(a u b u {e}), and by the path-block
     count P depends only on how e meets a u b.  Summed over e, the entry is
     affine in four statistics of the pair, with coefficients chosen by how
-    a and b meet (disjoint, adjacent or equal):
+    a and b meet (disjoint, adjacent or equal; `_closed_form_weights`, in
+    integers from path counts cached per n):
 
     * t_a + t_b, where t = B s and s = C 1 are the vertex sums;
     * c_a + c_b;
@@ -694,16 +730,11 @@ class ClosedFormK1(MomentMatrix):
 
     Here C is the symmetric vertex-by-vertex coefficient matrix, den times
     the coefficients of f (kept as `C`, read-only), and B the edge-vertex
-    incidence.  The disjoint-pair formula fills the edge block
-    densely from two vertex-by-edge matrices G1 and G2 (built from
-    H = C B^T, whose rows at the ends of a sum to row a of B C B^T): row a
-    is G1[u_a] + G2[v_a] + g_a.  The edges with one smaller endpoint x are
-    consecutive rows, so each such group is two contiguous passes, one add
-    of G2[x+1:] and G1[x] and one add of g down the rows.  The
-    n(n-1)(n-2) adjacent pairs, the ordered pairs of distinct edges at one
-    vertex, and the diagonal are then overwritten with their own formulas,
-    so no array is indexed by the pair type.  The constant row repeats the
-    diagonal.  N is int64 when a bound on its entries and on every partial
+    incidence.  The constructor forms only these statistics, O(n^2) work;
+    `rows(idx)` evaluates any rows N[idx, :], and N itself is `rows` over
+    every index, built on first use.  A caller that needs a few rows, as
+    `membership_p1` does in the adapted basis of the twin group, never
+    builds N.  N is int64 when a bound on its entries and on every partial
     sum, computed from the functional, fits, and holds Python ints
     otherwise; both take the same code path.
     """
@@ -713,30 +744,12 @@ class ClosedFormK1(MomentMatrix):
         n = f.n
         layout = _edge_layout(n)
         self.edges = layout.edges
-        E = len(self.edges)
-        dim = 1 + E
         const, coeff, den = _integer_functional(f)
-        total = sum(coeff.values())
-        p1, p2a, p2d = (_path_probability(n, k, m) for k, m in ((1, 1), (2, 1), (2, 2)))
-        p31, p32, p33 = (_path_probability(n, 3, m) for m in (1, 2, 3))
-        tri = Fraction(n == 3)  # a closed triangle is a tour only at n = 3
-        # Coefficients of (1, t_a+t_b, c_a+c_b, (BCB^T)_ab, (B diag(s) B^T)_ab)
-        # for disjoint, adjacent and equal edge pairs, in units of 1/den.
-        W = [
-            [const * p2d + total * p33, p32 - p33, p2d - 2 * p32 + p33,
-             p31 - 2 * p32 + p33, Fraction(0)],
-            [const * p2a + total * p32, p31 - p32, p2a + p31 - tri,
-             p32 - 2 * p31 + tri, p32 - 2 * p31],
-            [const * p1 + total * p2d, Fraction(0), (p1 - 2 * p2a + p2d) / 2,
-             Fraction(0), p2a - p2d],
-        ]
-        corner = const + total * p1
-        R = math.lcm(corner.denominator, *(w.denominator for row in W for w in row))
-        Wi = [[int(w * R) for w in row] for row in W]
+        Wi, corner, R = _closed_form_weights(n, const, sum(coeff.values()))
         # every statistic is at most 4 * sum |c_e| in magnitude
         stat = 4 * sum(abs(c) for c in coeff.values())
         bound = max(
-            [abs(int(corner * R)), stat]
+            [abs(corner), stat]
             + [abs(row[0]) + stat * sum(abs(w) for w in row[1:]) for row in Wi]
         )
         dt = np.int64 if bound < 2**63 else object
@@ -744,69 +757,113 @@ class ClosedFormK1(MomentMatrix):
         C = np.zeros((n, n), dtype=dt)
         for e, c in coeff.items():
             C[e.u - 1, e.v - 1] = C[e.v - 1, e.u - 1] = c
-        u, v, at, other = layout.u, layout.v, layout.at, layout.other
+        u, v = layout.u, layout.v
         s = C.sum(axis=1)
         t = s[u] + s[v]
         c = C[u, v]
-        H = C[:, u] + C[:, v]  # H[x, b]: coefficients from x to the ends of b
-        N = np.empty((dim, dim), dtype=dt)
-        N[0, 0] = int(corner * R)
-        # disjoint pairs: wd . (1, t_a+t_b, c_a+c_b, H[u_a, b]+H[v_a, b], 0)
-        # = G1[u_a, b] + G2[v_a, b] + g_a, with g = wd[1] t + wd[2] c.  The
-        # edges with u_a = x are the consecutive rows with v_a = x+1..n-1.
-        g = wd[1] * t + wd[2] * c
-        G2 = wd[3] * H
-        G1 = G2 + g + wd[0]
-        lo = 0
-        for x in range(n - 1):
-            hi = lo + n - 1 - x
-            block = N[1 + lo : 1 + hi, 1:]
-            np.add(G2[x + 1 :], G1[x], out=block)
-            block += g[lo:hi, None]
-            lo = hi
+        # disjoint pairs: wd . (1, t_a+t_b, c_a+c_b, H[u_b, a]+H[v_b, a], 0)
+        # with H = C B^T (H[x, a]: the coefficients from x to the ends of
+        # a) and g = wd[1] t + wd[2] c
+        self._g = wd[1] * t + wd[2] * c
+        self._wd = wd
         # adjacent pairs a = xy, b = xz at x: (BCB^T)_ab = c_a + c_b + C[y, z]
         # and (B diag(s) B^T)_ab = s_x, so the entry is
         # wa[0] + wa[4] s_x + h_a + h_b + wa[3] C[y, z] with
-        # h = wa[1] t + (wa[2] + wa[3]) c.  The a == b entries this writes
-        # are overwritten by the diagonal below.
-        h = (wa[1] * t + (wa[2] + wa[3]) * c)[at]
-        adj = wa[3] * C[other[:, :, None], other[:, None, :]]
-        adj += h[:, :, None]
-        adj += h[:, None, :]
-        adj += (wa[0] + wa[4] * s)[:, None, None]
-        # scattered through flat indices into N, which is contiguous
-        rows = (1 + at) * dim
-        N.reshape(-1)[rows[:, :, None] + (1 + at)[:, None, :]] = adj
-        # equal pairs: t_a+t_a, c_a+c_a, (BCB^T)_aa = 2 c_a, s_u + s_v = t_a
-        diag = 1 + np.arange(E)
-        N[diag, diag] = (
+        # h = wa[1] t + (wa[2] + wa[3]) c
+        self._h = wa[1] * t + (wa[2] + wa[3]) * c
+        self._h_at = self._h[layout.at]
+        self._x_part = wa[0] + wa[4] * s
+        self._wa3 = wa[3]
+        # equal pairs: t_a+t_a, c_a+c_a, (BCB^T)_aa = 2 c_a, s_u + s_v = t_a;
+        # the constant row repeats the diagonal
+        self._diag = (
             we[0] + we[1] * (2 * t) + we[2] * (2 * c) + we[3] * (2 * c) + we[4] * t
         )
-        N[0, 1:] = N[1:, 0] = N.diagonal()[1:]
+        self._corner = corner
         self.C = _read_only(C)
-        super().__init__(1, layout.basis, layout.labels, N, den * R, n=n)
+        super().__init__(1, layout.basis, layout.labels, None, den * R, n=n)
 
-    def star_kernel_verified(self) -> bool:
-        """Exact check that every vertex-degree relation D_x (2 on the
-        constant coordinate, -1 on each edge at x) annihilates the matrix.
+    @functools.cached_property
+    def N(self) -> np.ndarray:
+        """The whole numerator matrix, `rows` over every index, built on
+        first use.  N is symmetric, so it is also the C-contiguous array of
+        which `rows` returns the transpose."""
+        return self.rows(np.arange(self.dim)).T
 
-        The check is D^T N = 0, row sums without BLAS: the rows of the
-        edges at x must add up to twice the constant row.  N is symmetric
-        by construction (every formula is symmetric in the two edges and
-        the constant row copies the diagonal), so this is N D = 0.  A sum
-        of n - 1 entries is exact in int64 while (n + 1) max|N| < 2^63,
-        and the check runs on Python ints beyond that.  The rows are
-        gathered for as many vertices at a time as keep the gathered block
-        near _STAR_BLOCK entries.
+    def rows(self, idx: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The rows N[idx, :], a new array, from the closed form.
+
+        The array is the transpose of a C-contiguous T = N[:, idx] (N is
+        symmetric), so that the sums over the edges at a vertex, of
+        N[idx, :] or of U^T N U, are sums of contiguous rows of T.
+
+        T is filled for the asked indices at once, in increasing order, as
+        N was filled row by row: row b of an edge is first the disjoint-pair
+        formula hA[u_b] + Hx[v_b] + g_b everywhere, where
+        Hx = wd[3] H[:, asked] and hA = Hx + g[asked] + wd[0] are vertex by
+        asked index.  The edges b with one smaller endpoint y are
+        consecutive rows, so each such group is two contiguous passes, one
+        add of Hx[y+1:] and hA[y] and one add of g down the rows.  The
+        2(n - 2) adjacent pairs of each asked row, the diagonal and the
+        constant row and column are then overwritten with their own
+        formulas, so no array is indexed by the pair type.
         """
-        N = self.N
-        if N.dtype != object and (self.n + 1) * self._max_abs >= 2**63:
-            N = N.astype(object)
-        twice = 2 * N[0]
-        at = _edge_layout(self.n).at
-        step = max(1, _STAR_BLOCK // at.shape[1] // self.dim)
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        want, back = np.unique(idx, return_inverse=True)
+        k = len(want)
+        T = np.empty((self.dim, k), dtype=self._g.dtype)
+        first = int(k > 0 and want[0] == 0)
+        a = want[first:] - 1  # edge indices
+        layout = _edge_layout(self.n)
+        u, v = layout.u[a], layout.v[a]
+        Hx = self._wd[3] * (self.C[:, u] + self.C[:, v])
+        hA = Hx + (self._g[a] + self._wd[0])
+        lo = 0
+        for y in range(self.n - 1):
+            hi = lo + self.n - 1 - y
+            block = T[1 + lo : 1 + hi, first:]
+            np.add(Hx[y + 1 :], hA[y], out=block)
+            block += self._g[lo:hi, None]
+            lo = hi
+        # at each end x of a, the other edges at x; the a == b entries this
+        # writes are overwritten by the diagonal below
+        x = np.stack([u, v], axis=1)
+        adj = self._wa3 * self.C[x[:, ::-1, None], layout.other[x]]
+        adj += self._h[a][:, None, None]
+        adj += self._h_at[x]
+        adj += self._x_part[x][:, :, None]
+        pos = first + np.arange(len(a))
+        # scattered through flat indices into T, which is contiguous
+        T.reshape(-1)[(1 + layout.at[x]) * k + pos[:, None, None]] = adj
+        T[1 + a, pos] = T[0, pos] = self._diag[a]
+        if first:
+            T[0, 0] = self._corner
+            T[1:, 0] = self._diag
+        return (T if np.array_equal(want, idx) else T[:, back]).T
+
+    def star_kernel_verified(self, R: np.ndarray | None = None) -> bool:
+        """Exact check that every vertex-degree relation D_x (2 on the
+        constant coordinate, -1 on each edge at x) annihilates the rows R
+        of N, all of N by default: in each row the entries at the edges at
+        x must add up to twice the entry at the constant.
+
+        The check runs on T = R^T, C-contiguous for the rows that `rows`
+        returns (N itself for all of N): the rows of T at the edges at x
+        must add up to twice its first row.  A sum of n - 1 entries is
+        exact in int64 while (n + 1) max|R| < 2^63, and the check runs on
+        Python ints beyond that.  The rows are gathered for as many
+        vertices at a time as keep the gathered block near _STAR_BLOCK
+        entries.
+        """
+        # N is symmetric, so it is its own transpose
+        top, T = (self.max_abs, self.N) if R is None else (peak(R), R.T)
+        if T.dtype != object and (self.n + 1) * top >= 2**63:
+            T = T.astype(object)
+        twice = 2 * T[0]
+        at = 1 + _edge_layout(self.n).at
+        step = max(1, _STAR_BLOCK // at.shape[1] // T.shape[1])
         return all(
-            (N[1 + at[x : x + step]].sum(axis=1) == twice).all()
+            (T[at[x : x + step]].sum(axis=1) == twice).all()
             for x in range(0, self.n, step)
         )
 

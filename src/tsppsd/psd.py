@@ -12,25 +12,30 @@ enumerated tours, up to the cycle cap.  The pipeline, fastest first:
 
 1. quotient out the kernel vectors known exactly:
 
-   * k = 1, closed form: the degree relations are checked exactly against
-     row sums of N, which also checks the corner; then the functional's
-     average over the tours, which must be 1, is read from N[0, 0] / scale.
-     Vertices u and v are twins when c_uw = c_vw for every other vertex w,
-     and f, hence M, is invariant under the symmetric groups of the twin
-     classes (`symmetry`).  M is taken to G = U^T N U / scale in an
-     integer symmetry-adapted basis U, one column per copy of each
-     irreducible representation; U is sparse, so G is formed exactly
-     from signed sums of rows of N, in dim * nnz(U) additions, and a
-     witness y of G lifts to U y, checked on M.  G vanishes between
-     representation types (checked exactly) and M is PSD iff G is.  The
-     kernel vectors of G known exactly are the images of the degree
-     relations (one per class, one per class of two or more vertices), the
-     unit vector of each zero row, and e_O - |O| e_0 for each edge orbit O
-     whose row is |O| times the constant row; their pivots come from
-     `linalg.nonsingular_block`, which proves them.  Every facet kind of
-     the benchmark grid, up to n = 60 where M has dimension 1771, reaches
-     step 2 with a definite block of at most a few dozen coordinates and
-     needs no eigendecomposition.  Without twins U = I and G = M;
+   * k = 1, closed form: vertices u and v are twins when c_uw = c_vw for
+     every other vertex w, and f, hence M, is invariant under the
+     symmetric groups of the twin classes (`symmetry`).  M is taken to
+     G = U^T N U / scale in an integer symmetry-adapted basis U, one
+     column per copy of each irreducible representation.  G needs only one
+     closed-form row of N per distinct representative of a column of U
+     (`ClosedFormK1.rows`), c rows or fewer in place of 1 + C(n, 2): within
+     a type G[i, j] = kappa_i (N U_j)[rep_i], and between types G is 0.
+     The degree relations are checked exactly on every row read, which
+     also checks the corner; then the functional's average over the
+     tours, which must be 1, is read from G[0, 0] / scale = N[0, 0] /
+     scale.  Each type block of G must be symmetric (checked exactly), M
+     is PSD iff G is, and a witness y of G lifts to U y, checked on the
+     whole M.  The kernel vectors of G known exactly are the images of
+     the degree relations (one per class, one per class of two or more
+     vertices), the unit vector of each zero row, and e_O - |O| e_0 for
+     each edge orbit O whose row is |O| times the constant row; their
+     pivots come from `linalg.nonsingular_block`, which proves them.
+     Every facet kind of the benchmark grid, up to n = 60 where M has
+     dimension 1771, reads at most a few dozen rows of N (58 for a
+     two-matching facet with five teeth) and reaches step 2 with a
+     definite block of at most a few dozen coordinates, which needs no
+     eigendecomposition.  Without twins U = I, every row is a
+     representative and G = M;
    * any k, enumerated: the structural relations of `moment.tour_relations`
      (a repeated edge collapses, x_e^2 m = x_e m, and each degree relation
      times each monomial of degree <= k - 1), with a pivot block proved
@@ -163,11 +168,12 @@ def _integer_direction(x: np.ndarray) -> list[int]:
     return np.rint(x / peak * 2**20).astype(np.int64).tolist()
 
 
-def _check_star_kernel(cf: ClosedFormK1) -> None:
-    """Tripwire: the degree relations must annihilate the matrix.  The
-    property holds structurally for every closed-form moment matrix, so a
-    failure means a transcription bug."""
-    if not cf.star_kernel_verified():
+def _check_star_kernel(cf: ClosedFormK1, R: np.ndarray | None = None) -> None:
+    """Tripwire: the degree relations must annihilate the rows R of the
+    matrix, all of it by default.  The property holds structurally for
+    every closed-form moment matrix, so a failure means a transcription
+    bug."""
+    if not cf.star_kernel_verified(R):
         raise RuntimeError("degree relations not in matrix kernel")
 
 
@@ -184,11 +190,10 @@ def membership_p1(
     if f.n > exact_cap:
         raise ResourceLimitError(f"n={f.n} exceeds exact membership cap {exact_cap}")
     cf = closed_form_k1(f)
-    # cheap transcription tripwire; the kernel property itself is structural.
-    # It runs first: it also checks the corner read as the average below.
-    _check_star_kernel(cf)
-    require_unit_average(cf.entry(0, 0))  # the average of f over X
+    # the quotient checks the degree relations on every row it reads, the
+    # constant row among them, so also the corner read as the average
     G, U, keep = _adapted_quotient(cf)
+    require_unit_average(G.entry(0, 0))  # the average of f over X, N[0, 0]
     verdict = _lifted(_decide_reduced(G, keep), keep, G.dim)
     if U is None or verdict.witness is None:
         return verdict
@@ -219,27 +224,33 @@ def _adapted_quotient(
     trivial), and the coordinates of a complement in G of the kernel
     vectors known exactly (`symmetry.kept_coordinates`):
 
-    * the images of the degree relations, which M annihilates
-      (`_check_star_kernel`);
+    * the images of the degree relations, which M annihilates;
     * the unit vector of each zero row of G;
     * e_O - |O| e_0 for the indicator of each edge orbit O whose row is |O|
       times the constant row (at |O| = 1, 1 - x_e for an edge row equal to
       the constant row).
 
-    Every vector is then a kept vector plus a kernel vector, the form on G
-    is the form on the kept block, and a certified PD kept block proves M
-    PSD.  Raises RuntimeError if G has a nonzero entry between different
-    representation types: M is invariant under the group by construction,
-    so that means a transcription bug.
+    G is formed from the rows of N at the representatives of the columns
+    of U (`AdaptedBasis.gram`), one row per distinct representative, and N
+    is never built unless U is the identity, where every row is one.  The
+    degree relations are checked exactly on every row read
+    (`_check_star_kernel`): the images of the relations are combinations
+    of the relations, and each row of G on their type is a multiple of one
+    row read, so this proves that G annihilates them.  Every vector is then
+    a kept vector plus a kernel vector, the form on G is the form on the
+    kept block, and a certified PD kept block proves M PSD.  Raises
+    RuntimeError if a type block of G is not symmetric: M is invariant
+    under the group by construction, so that means a transcription bug.
     """
     U, shape = adapted_basis(twin_classes(cf.C))
     G: MomentMatrix = cf
-    if U is not None:
-        N = U.gram(cf.N, cf.max_abs)
-        # the unit columns are trivial, so only the others can meet another type
-        t, o = shape.types, U.others
-        if np.any(N[:, o][t[:, None] != t[o]]):
-            raise RuntimeError("moment matrix not invariant under the twin group")
+    if U is None:
+        _check_star_kernel(cf)
+    else:
+        reps, at = np.unique(U.rep, return_inverse=True)
+        R = cf.rows(reps)
+        _check_star_kernel(cf, R)
+        N = U.gram(R, at)
         index = range(len(N))
         G = MomentMatrix(
             1, [(j,) for j in index], map(str, index), N, cf.scale, n=cf.n

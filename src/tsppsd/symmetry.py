@@ -30,27 +30,32 @@ equivariant maps:
 
 Let U be the matrix of these columns.  Its entries are 0 and +-1, and
 few: the orbit indicators partition the edges, a copy of std has at most
-2 (n - 2) entries, and the others four.  So G below is formed by signed
-sums of rows of N (`AdaptedBasis.gram`), in about (1 + C(n, 2)) * nnz(U)
-additions, however few twins there are.  By Schur's lemma G = U^T N U
-vanishes between columns of different types, and N on the isotypic
-component of type rho is congruent to (the block of G on the copies of
-rho) (x) I_dim(rho).  So M is PSD iff G is, and y^T G y < 0 gives the
-witness w = U y, with w^T N w = y^T G y exactly.  The copies of each type
-are independent (their supports are disjoint edge sets), so the dimension
-identity sum_rho dim(rho) * multiplicity(rho) = 1 + C(n, 2), checked when
-the basis of a tuple of class sizes is built, shows that they span the
-whole space.
+2 (n - 2) entries, and the others four.  Each column U_i has a
+representative, a row rep_i where it is +1, and for each row r of its
+support the group has an element that maps rep_i to r and every column
+of the type of U_i to U_i[r] times itself.  So, within a type,
+U_i^T N U_j = kappa_i (N U_j)[rep_i], with kappa_i the number of entries
+of U_i: G below needs only the rows of N at the representatives, at most
+c of the 1 + C(n, 2), and is formed from them by signed sums
+(`AdaptedBasis.gram`), in about c * nnz(U) additions.  By Schur's lemma
+G = U^T N U vanishes between columns of different types, and N on the
+isotypic component of type rho is congruent to (the block of G on the
+copies of rho) (x) I_dim(rho).  So M is PSD iff G is, and y^T G y < 0
+gives the witness w = U y, with w^T N w = y^T G y exactly.  The copies of
+each type are independent (their supports are disjoint edge sets), so the
+dimension identity sum_rho dim(rho) * multiplicity(rho) = 1 + C(n, 2),
+checked when the basis of a tuple of class sizes is built, shows that they
+span the whole space.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tsppsd.linalg import nonsingular_block
+from tsppsd.linalg import nonsingular_block, peak
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,12 @@ class AdaptedBasis:
     pads a short column).  A column in several chunks is their sum.  Each
     R has at most max(1, _BLOCK // dim) entries, so a chunk of the rows of
     a matrix with `dim` columns or fewer holds at most _BLOCK entries, or
-    one row.  `reach` is the largest number of entries in a column."""
+    one row.  `reach` is the largest number of entries in a column.
+
+    Column i has kappa[i] entries and the entry +1 at the row rep[i], its
+    representative.  The columns of one representation type are
+    consecutive: `single` lists those alone in their type, and `blocks`
+    the ranges (s, e) of the types with two or more columns."""
 
     units: np.ndarray
     pick: np.ndarray
@@ -117,13 +127,15 @@ class AdaptedBasis:
     chunks: tuple[tuple[int, int, np.ndarray, np.ndarray | None], ...]
     dim: int
     reach: int
+    rep: np.ndarray
+    kappa: np.ndarray
+    single: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
 
     def relabeled(self, row: np.ndarray) -> AdaptedBasis:
         """The basis with each row i moved to row[i]."""
         chunks = tuple((a, b, row[R], W) for a, b, R, W in self.chunks)
-        return AdaptedBasis(
-            self.units, row[self.pick], self.others, chunks, self.dim, self.reach
-        )
+        return replace(self, pick=row[self.pick], chunks=chunks, rep=row[self.rep])
 
     def _sum_rows(self, X: np.ndarray) -> np.ndarray:
         """U[:, others]^T X for an integer array X with `dim` rows and at
@@ -135,24 +147,40 @@ class AdaptedBasis:
             out[a:b] += part.sum(axis=1) if W is None else np.matmul(W[:, None], part)[:, 0]
         return out
 
-    def gram(self, N: np.ndarray, max_abs: int) -> np.ndarray:
-        """Exact U^T N U for a symmetric integer matrix N with |N| <=
-        max_abs: int64 when max_abs * reach^2 < 2^63, which bounds every
-        entry and partial sum, Python ints otherwise.  Between unit columns
-        it is N at their rows; the rows and columns of the other columns O
-        are U^T (N U_O), with N U_O = (U_O^T N)^T as N is symmetric.  The
-        cost is dim * nnz(U_O) additions, and copies of the c^2 entries."""
-        if N.dtype != object and max_abs * self.reach**2 >= 2**63:
-            N = N.astype(object)
-        c = len(self.units) + len(self.others)
-        NU = np.ascontiguousarray(self._sum_rows(N).T)
-        side = np.empty((c, len(self.others)), dtype=N.dtype)
-        side[self.units] = NU[self.pick]
-        side[self.others] = self._sum_rows(NU)
-        G = np.empty((c, c), dtype=N.dtype)
-        G[:, self.others] = side
-        G[self.others] = side.T
-        G[np.ix_(self.units, self.units)] = N.take(self.pick, 0).take(self.pick, 1)
+    def gram(self, R: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Exact G = U^T N U for a symmetric integer matrix N invariant under
+        the twin group, from its rows at the representatives: row at[i] of
+        R is N[rep[i]].
+
+        Within a type, G[i, j] = kappa[i] (N U_j)[rep[i]]: for each row r
+        of the support of U_i the group has an element that maps rep[i] to
+        r and U_j to U_i[r] U_j, so each of the kappa[i] terms
+        U_i[r] (N U_j)[r] of U_i^T N U_j is (N U_j)[rep[i]].  Between types
+        G is 0 by Schur's lemma.  So G costs len(R) * nnz(U) additions, never N: with
+        Q = U^T R^T (rows of R^T at `pick`, and signed sums of its rows),
+        G[i, j] = kappa[i] Q[j, at[i]].  It is int64 when
+        max|R| * reach^2 < 2^63, which bounds every entry and partial sum,
+        and Python ints otherwise.
+
+        A type block is filled as its transpose and must be symmetric, as
+        U^T N U is; else RuntimeError is raised: N is invariant under the
+        group by construction, so that means a transcription bug.
+        """
+        T = R.T  # C-contiguous for the rows of `moment.ClosedFormK1.rows`
+        if T.dtype != object and peak(T) * self.reach**2 >= 2**63:
+            T = T.astype(object)
+        c = len(self.rep)
+        Q = np.empty((c, T.shape[1]), dtype=T.dtype)
+        Q[self.units] = T[self.pick]
+        Q[self.others] = self._sum_rows(T)
+        G = np.zeros((c, c), dtype=T.dtype)
+        one = self.single
+        G[one, one] = self.kappa[one] * Q[one, at[one]]
+        for s, e in self.blocks:
+            block = G[s:e, s:e]
+            np.multiply(Q[s:e].take(at[s:e], axis=1), self.kappa[s:e], out=block)
+            if not np.array_equal(block, block.T):
+                raise RuntimeError("moment matrix not invariant under the twin group")
         return G
 
     def times(self, y) -> np.ndarray:
@@ -272,17 +300,26 @@ def basis_shape(sizes: tuple[int, ...]) -> BasisShape:
             np.concatenate([np.asarray(part[i], dtype=np.int64) for part in parts])
             for i in range(3)
         )
-        basis = _chunked(rows, cols, vals, c, 1 + E)
+        basis = _chunked(rows, cols, vals, 1 + E, types)
     for a in (types, dims, orbit_sizes, relations):
         a.flags.writeable = False
     return BasisShape(sizes, types, dims, orbit_sizes, relations, basis)
 
 
 def _chunked(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, c: int, dim: int
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int, types: np.ndarray
 ) -> AdaptedBasis:
-    """The basis with the nonzero entries U[rows[t], cols[t]] = vals[t]."""
+    """The basis with the nonzero entries U[rows[t], cols[t]] = vals[t], and
+    the nondecreasing representation type of each column."""
+    c = len(types)
     count = np.bincount(cols, minlength=c)
+    # the representative of each column: its first row where it is +1
+    rep = np.full(c, dim, dtype=np.int64)
+    np.minimum.at(rep, cols[vals == 1], rows[vals == 1])
+    bounds = np.flatnonzero(np.diff(types, prepend=-1, append=-1))
+    size = np.diff(bounds)
+    single = bounds[:-1][size == 1]
+    blocks = tuple(zip(bounds[:-1][size > 1].tolist(), bounds[1:][size > 1].tolist()))
     unit = (count == 1) & (np.bincount(cols, weights=vals, minlength=c) == 1)
     units = np.flatnonzero(unit)
     pick = np.zeros(c, dtype=np.int64)
@@ -316,9 +353,12 @@ def _chunked(
             chunks.append((a, b, rows[at], None if np.all(W == 1) else W))
         a = b
     arrays = [x for chunk in chunks for x in chunk[2:] if x is not None]
-    for x in (units, pick, others, *arrays):
+    for x in (units, pick, others, rep, count, single, *arrays):
         x.flags.writeable = False
-    return AdaptedBasis(units, pick, others, tuple(chunks), dim, int(count.max()))
+    return AdaptedBasis(
+        units, pick, others, tuple(chunks), dim, int(count.max()),
+        rep, count, single, blocks,
+    )
 
 
 def _square(table: np.ndarray, cols, p, r, q, s) -> tuple:

@@ -313,3 +313,56 @@ def test_outputs_are_deterministic_files(tmp_path):
     run(["matrix", "--func", func, "--out", str(a)])
     run(["matrix", "--func", func, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once_and_calls_repeat_exactly(tmp_path, capsys, monkeypatch):
+    # one process: membership, matrix, a parse error, the bounds usage error
+    # and membership again, twice over, on the parser built by the first
+    # call; each exit code, stream and output file repeats the first call's
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    func = write_spec(tmp_path, OUTSIDE_SPEC)
+    out = tmp_path / "out.json"
+    calls = [
+        ["membership", "--func", func, "--out", str(out)],
+        ["matrix", "--func", func, "--out", str(out)],
+        ["membership", "--nonsense"],
+        ["bounds"],
+        ["membership", "--func", func, "--out", str(out)],
+    ]
+    seen = []
+    for _ in range(2):
+        for argv in calls:
+            code = run(argv)
+            streams = capsys.readouterr()
+            data = out.read_bytes() if out.exists() else b""
+            out.unlink(missing_ok=True)
+            seen.append((code, streams.out, streams.err, data))
+    assert built == [1]
+    assert [s[0] for s in seen[:5]] == [1, 0, 2, 2, 1]
+    assert seen[5:] == seen[:5] and seen[4] == seen[0]
+    assert seen[3][2] == "error: bounds needs --n or --grid\n"
+    cli._parser.cache_clear()
+
+
+def test_membership_imports_neither_numpy_random_nor_scipy(tmp_path):
+    # a fresh process imports the CLI and decides one membership at n = 8
+    # and one at n = 60; numpy.random alone adds about 5 MiB to its peak
+    # memory
+    specs = []
+    for n in (8, 60):
+        specs.append(write_spec(tmp_path, {"kind": "subtour", "n": n, "U": [1, 2, 3]}, f"s{n}.json"))
+    script = (
+        "import sys\n"
+        "import tsppsd.cli as cli\n"
+        f"codes = [cli.run(['membership', '--func', p, '--out', p + '.out']) for p in {specs!r}]\n"
+        "heavy = sorted(m for m in sys.modules if m == 'numpy.random' or m.split('.')[0] == 'scipy')\n"
+        "print(codes, heavy)\n"
+    )
+    src = os.path.join(os.path.dirname(tsppsd.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[0, 0] []\n"

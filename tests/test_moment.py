@@ -17,9 +17,11 @@ from tsppsd.functionals import (
     make_two_matching,
 )
 from tsppsd.linalg import exact_ldlt
+from tsppsd.cycles import factorial, num_cycles
 from tsppsd.moment import (
     GroundSet,
     MomentMatrix,
+    _closed_form_weights,
     _edge_layout,
     closed_form_k1,
     containment_probability,
@@ -202,6 +204,68 @@ def test_star_kernel_all_n_up_to_40():
     for n in range(6, 41):
         for f in (make_ones(n), make_subtour(n, range(1, n // 2 + 1))):
             assert closed_form_k1(f).star_kernel_verified(), n
+
+
+def fraction_weights(n, const, total):
+    """The closed-form weights as Fractions from the path probabilities, the
+    integer weights over the lcm R of their denominators, the corner and R."""
+    def p(k, m):
+        return Fraction(2 ** (m - 1) * factorial(n - k - 1), num_cycles(n)) if k + m <= n else 0
+
+    p1, p2a, p2d, p31, p32, p33 = p(1, 1), p(2, 1), p(2, 2), p(3, 1), p(3, 2), p(3, 3)
+    tri = Fraction(n == 3)
+    W = [
+        [const * p2d + total * p33, p32 - p33, p2d - 2 * p32 + p33, p31 - 2 * p32 + p33, 0],
+        [const * p2a + total * p32, p31 - p32, p2a + p31 - tri, p32 - 2 * p31 + tri, p32 - 2 * p31],
+        [const * p1 + total * p2d, 0, (p1 - 2 * p2a + p2d) / 2, 0, p2a - p2d],
+    ]
+    corner = const + total * p1
+    R = math.lcm(Fraction(corner).denominator,
+                 *(Fraction(w).denominator for row in W for w in row))
+    return [[int(w * R) for w in row] for row in W], int(corner * R), R
+
+
+def test_integer_weights_equal_the_fraction_weights():
+    # the weights formed in integers from path counts cached per n equal
+    # those of Fraction path probabilities, and so do N's scale and dtype,
+    # for n = 3..60 on facets, random functionals and 10^20 coefficients
+    rng = random.Random(13)
+    dtypes = set()
+    for n in range(3, 61):
+        fs = [make_ones(n), random_functional(n, rng), large_functional(n, rng)]
+        if n >= 5:
+            fs += [make_subtour(n, {1, 2}), make_edge_bound(n, edge(2, 3), "lower")]
+        for f in fs:
+            const, coeff = f.constant, f.coeff.values()
+            den = math.lcm(const.denominator, *(c.denominator for c in coeff))
+            const, total = int(const * den), sum(int(c * den) for c in coeff)
+            Wi, corner, R = _closed_form_weights(n, const, total)
+            assert (Wi, corner, R) == fraction_weights(n, const, total)
+            if n <= 12 or n % 16 == 0:
+                cf = closed_form_k1(f)
+                assert cf.scale == den * R and cf.N[0, 0] == corner
+                dtypes.add(cf.N.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_rows_equal_the_whole_matrix():
+    # rows(idx) is N[idx, :] for random subsets, orders and repeats of the
+    # indices, n = 3..12 and 60, in int64 and in Python ints; N itself is
+    # checked against enumeration and containment counts above
+    rng = random.Random(14)
+    dtypes = set()
+    for n in list(range(3, 13)) + [60]:
+        for f in (random_functional(n, rng), large_functional(n, rng)):
+            cf = closed_form_k1(f)
+            N = cf.N
+            dtypes.add(N.dtype)
+            for _ in range(4 if n == 60 else 12):
+                idx = rng.sample(range(cf.dim), rng.randint(1, min(cf.dim, 40)))
+                for ask in (sorted(idx), idx, idx + idx[:3]):
+                    got = cf.rows(ask)
+                    assert got.dtype == N.dtype and np.array_equal(got, N[ask])
+            assert np.array_equal(cf.rows(range(cf.dim)), N)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_corner_is_the_average():

@@ -176,23 +176,35 @@ def test_membership_requires_average_one():
 
 
 def with_numerators(cf, N):
-    """The closed-form matrix cf with its numerators replaced by N."""
+    """The closed-form matrix cf with its numerators replaced by N, also in
+    the rows that `rows` reads."""
     bad = object.__new__(ClosedFormK1)
     MomentMatrix.__init__(bad, 1, cf.basis, cf.labels, N, cf.scale, n=cf.n)
     bad.f, bad.edges, bad.C = cf.f, cf.edges, cf.C
+    bad.rows = lambda idx: N[np.asarray(idx)]
     return bad
 
 
+def rows_read(cf):
+    """The rows of N that `membership_p1` reads: one per representative of
+    the adapted basis, or all of them without twins."""
+    U, _ = adapted_basis(twin_classes(cf.C))
+    return range(cf.dim) if U is None else np.unique(U.rep).tolist()
+
+
 def planted_faults():
-    # one wrong entry, off the diagonal without its mirror, in the constant
-    # row or at the corner read as the average, on int64 and on Python-int
-    # numerators; the tripwire runs before the average is read
+    # one wrong entry in each row that membership_p1 reads, off the diagonal
+    # without its mirror, and at the corner read as the average, on int64
+    # and on Python-int numerators; the tripwire runs before the average is
+    # read
     a = Fraction(10**19 + 1, 10**19 + 3)
     big = combine(a, make_subtour(6, {1, 2}), 1 - a, make_ones(6))
     for f in (make_subtour(6, {1, 2, 3}), big):
         cf = closed_form_k1(f)
         assert cf.star_kernel_verified()
-        for i, j in ((4, 9), (0, 7), (0, 0)):
+        read = rows_read(cf)
+        assert 0 in read and len(read) < cf.dim
+        for i, j in [(r, 9 if r != 9 else 8) for r in read] + [(0, 0)]:
             N = cf.N.copy()
             N[i, j] += 1
             yield f, with_numerators(cf, N)
@@ -391,6 +403,22 @@ def test_boundary_facets_certified_without_eigendecomposition(monkeypatch):
         for f in boundary_facets(n):
             verdict = membership_p1(f)
             assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky")
+
+
+def test_symmetric_facets_never_build_the_whole_matrix(monkeypatch):
+    # at n = 60 the decision reads a few rows of N, one per representative
+    # of the adapted basis, and never the 1771 x 1771 matrix
+    def whole(self):
+        raise AssertionError("the whole matrix was built")
+
+    read = []
+    rows = ClosedFormK1.rows
+    monkeypatch.setattr(ClosedFormK1, "N", property(whole))
+    monkeypatch.setattr(ClosedFormK1, "rows", lambda self, idx: read.append(len(idx)) or rows(self, idx))
+    for f in (make_ones(60), make_subtour(60, range(1, 16))):
+        verdict = membership_p1(f)
+        assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky")
+    assert read == [3, 6]
 
 
 def test_adapted_quotient_keeps_the_rank_block_by_block():
@@ -780,8 +808,8 @@ def test_lifted_witness_is_checked_on_the_whole_matrix(monkeypatch):
     f = make_subtour(7, {1, 2, 3})
     gram = AdaptedBasis.gram
 
-    def lowered(self, N, max_abs):
-        G = gram(self, N, max_abs)
+    def lowered(self, R, at):
+        G = gram(self, R, at)
         G[-1, -1] -= 10**6 * abs(int(G[-1, -1])) + 1
         return G
 

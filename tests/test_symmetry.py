@@ -6,8 +6,15 @@ import pytest
 
 from fractions import Fraction
 
-from tsppsd.cycles import all_edges
-from tsppsd.functionals import combine, make_ones, make_subtour
+from tsppsd.cycles import all_edges, edge
+from tsppsd.functionals import (
+    LinearFunctional,
+    combine,
+    make_edge_bound,
+    make_ones,
+    make_subtour,
+    make_two_matching,
+)
 from tsppsd.linalg import exact_ldlt
 from tsppsd.moment import closed_form_k1, degree_relations
 from tsppsd.psd import _adapted_quotient, membership_p1
@@ -147,9 +154,38 @@ def test_orbit_sizes_and_types_follow_the_classes():
     assert basis_shape((2, 3, 1)) is shape
 
 
+def invariant_matrix(classes, rng):
+    """A random symmetric integer matrix on the degree-1 basis of K_n that
+    is invariant under the twin group of `classes`: entry (a, b) depends
+    only on the orbit of the pair, its classes and the pattern of equal
+    endpoints, taken in the least of its relabelings."""
+    n = len(classes)
+    ends = [()] + [(e.u - 1, e.v - 1) for e in all_edges(n)]
+
+    def key(a, b):
+        forms = []
+        for x in (a, a[::-1]):
+            for y in (b, b[::-1]):
+                for p in ((x, y), (y, x)):
+                    verts = p[0] + p[1]
+                    forms.append((
+                        len(p[0]), len(p[1]), tuple(classes[w] for w in verts),
+                        tuple(verts.index(w) for w in verts),
+                    ))
+        return min(forms)
+
+    value = {}
+    N = np.zeros((len(ends), len(ends)), dtype=np.int64)
+    for i, a in enumerate(ends):
+        for j, b in enumerate(ends):
+            N[i, j] = value.setdefault(key(a, b), int(rng.integers(-9, 10)))
+    return N
+
+
 def test_gram_and_lift_match_the_dense_products():
-    # U^T N U and U y against dense products, for random symmetric N in
-    # int64 and in Python ints and random vertex orders
+    # U^T N U from the rows of N at the representatives and U y against
+    # dense products, for random invariant symmetric N in int64 and in
+    # Python ints and random vertex orders
     rng = np.random.default_rng(3)
     for sizes in ((3, 2), (1, 1, 4), (5,), (2, 2, 2), (1, 6, 1, 2)):
         classes = np.repeat(np.arange(len(sizes)), sizes)
@@ -158,13 +194,50 @@ def test_gram_and_lift_match_the_dense_products():
         classes = np.argsort(np.argsort(first))[classes]  # by smallest member
         U, _ = adapted_basis(classes)
         A = dense(U)
-        X = rng.integers(-9, 10, (U.dim, U.dim))
-        N = X + X.T
-        assert np.array_equal(U.gram(N, 18), A.T @ N @ A)
-        assert U.gram(N.astype(object) * 2**70, 18 * 2**70).tolist() == (
+        assert np.array_equal(A[U.rep, np.arange(A.shape[1])], np.ones(A.shape[1]))
+        assert np.array_equal(U.kappa, np.count_nonzero(A, axis=0))
+        N = invariant_matrix(classes.tolist(), rng)
+        assert np.array_equal(N, N.T)
+        reps, at = np.unique(U.rep, return_inverse=True)
+        assert np.array_equal(U.gram(N[reps], at), A.T @ N @ A)
+        assert U.gram(N[reps].astype(object) * 2**70, at).tolist() == (
             (A.T @ N @ A).astype(object) * 2**70).tolist()
         y = rng.integers(-5, 6, A.shape[1])
         assert U.times(y).tolist() == (A @ y).tolist()
+
+
+def class_structured_functional(n, rng, top):
+    """A functional whose coefficients are constant on the edges between
+    (and within) the blocks of a random partition, with denominators up to
+    10^12 + 39."""
+    C = class_structured(n, rng)
+    den = rng.choice((1, 7, 10**12 + 39))
+    coeff = {e: Fraction(C[e.u - 1][e.v - 1] * top, den) for e in all_edges(n)}
+    return LinearFunctional(n, Fraction(rng.randint(-3, 3), den), coeff)
+
+
+def test_gram_from_rows_matches_the_dense_product_on_functionals():
+    # G read from the rows at the representatives is U^T N U in Python
+    # ints, for every facet kind and random class-structured functionals
+    # in int64 and Python ints
+    rng = random.Random(8)
+    fs = []
+    for n in (5, 7, 9, 12):
+        fs += [make_ones(n), make_subtour(n, {1, 2}), make_subtour(n, range(1, n // 2 + 1)),
+               make_edge_bound(n, edge(2, 4), "lower"), make_edge_bound(n, edge(2, 4), "upper"),
+               make_two_matching(n, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)])
+               if n >= 7 else make_ones(n)]
+        fs += [class_structured_functional(n, rng, top) for top in (1, 10**20) for _ in range(4)]
+    dtypes = set()
+    for f in fs:
+        cf = closed_form_k1(f)
+        G, U, _ = _adapted_quotient(cf)
+        if U is None:
+            continue
+        A = dense(U, object)
+        assert G.N.tolist() == (A.T @ cf.N.astype(object) @ A).tolist()
+        dtypes.add(G.N.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_gram_is_exact_where_int64_sums_would_wrap():
