@@ -59,6 +59,7 @@ from tsppsd.functionals import LinearFunctional
 from tsppsd.linalg import integer_matmul, nonsingular_block, peak
 from tsppsd.polynomials import CertificatePolynomial
 from tsppsd.rational import clear_denominators, format_fraction
+from tsppsd.symmetry import AdaptedBasis, BasisShape, adapted_basis, twin_classes
 
 DEFAULT_BASIS_CAP = 6000
 
@@ -216,11 +217,7 @@ class MomentMatrix:
 
     def float_matrix(self, keep: Sequence[int] | None = None) -> np.ndarray:
         """Correctly rounded float64 entries, as a new array the caller owns."""
-        N = self.numerators(keep)
-        if self._float_exact:
-            return N / self.scale
-        # Python int division rounds correctly at any size
-        return (N.astype(object) / self.scale).astype(float)
+        return correctly_rounded(self.numerators(keep), self.scale, self._float_exact)
 
     def to_float(self) -> np.ndarray:
         """The float view of the whole matrix, `float_matrix()`."""
@@ -291,6 +288,18 @@ class MomentMatrix:
             "basis": list(self.labels),
             "entries": self.formatted_rows(),
         }
+
+
+def correctly_rounded(N: np.ndarray, scale: int, exact: bool | None = None) -> np.ndarray:
+    """The correctly rounded float64 N / scale of an integer array N, as a
+    new array.  `exact` says whether N and scale are exact in float64,
+    max|N| < 2^53 and scale < 2^53, when the caller knows it."""
+    if exact is None:
+        exact = peak(N) < 2**53 and scale < 2**53
+    if exact:  # one correctly rounded division of exact operands
+        return np.asarray(N / scale, dtype=float)
+    # Python int division rounds correctly at any size
+    return (N.astype(object) / scale).astype(float)
 
 
 def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -733,8 +742,8 @@ class ClosedFormK1(MomentMatrix):
     incidence.  The constructor forms only these statistics, O(n^2) work;
     `rows(idx)` evaluates any rows N[idx, :], and N itself is `rows` over
     every index, built on first use.  A caller that needs a few rows, as
-    `membership_p1` does in the adapted basis of the twin group, never
-    builds N.  N is int64 when a bound on its entries and on every partial
+    `gram` does for the adapted basis of the twin group (`twin_basis`),
+    never builds N.  N is int64 when a bound on its entries and on every partial
     sum, computed from the functional, fits, and holds Python ints
     otherwise; both take the same code path.
     """
@@ -789,6 +798,45 @@ class ClosedFormK1(MomentMatrix):
         first use.  N is symmetric, so it is also the C-contiguous array of
         which `rows` returns the transpose."""
         return self.rows(np.arange(self.dim)).T
+
+    def entry(self, i: int, j: int) -> Fraction:
+        """M[i, j], from N once it is built and else from the closed-form
+        row i alone, so that reading one entry never builds N."""
+        if "N" in self.__dict__:
+            return super().entry(i, j)
+        return self._exact(self.rows([i]).item(j))
+
+    @functools.cached_property
+    def twin_basis(self) -> tuple[AdaptedBasis | None, BasisShape]:
+        """The adapted basis of the twin group of the functional and its
+        shape (`symmetry.adapted_basis`); the basis is None, the identity,
+        when the group is trivial."""
+        return adapted_basis(twin_classes(self.C))
+
+    def gram(self, U: AdaptedBasis | None) -> tuple[np.ndarray, np.ndarray]:
+        """The exact numerators G = U^T N U of M in the adapted basis U of a
+        group under which M is invariant (N itself when U is None, the
+        identity), and the rows of N read for them: one closed-form row per
+        distinct representative of a column of U (`AdaptedBasis.gram`), or
+        all of N when U is None.
+
+        The degree relations are checked exactly on every row read: the
+        images of the relations are combinations of the relations, and each
+        row of G on their type is a multiple of one row read, so this proves
+        that G annihilates them.  Raises RuntimeError if the check fails or
+        if a type block of G is not symmetric: both hold for every closed
+        form by construction, so a failure means a transcription bug.
+        """
+        if U is None:
+            R = self.N
+            ok = self.star_kernel_verified()
+        else:
+            reps, at = np.unique(U.rep, return_inverse=True)
+            R = self.rows(reps)
+            ok = self.star_kernel_verified(R)
+        if not ok:
+            raise RuntimeError("degree relations not in matrix kernel")
+        return (R if U is None else U.gram(R, at)), R
 
     def rows(self, idx: Sequence[int] | np.ndarray) -> np.ndarray:
         """The rows N[idx, :], a new array, from the closed form.

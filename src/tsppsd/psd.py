@@ -67,8 +67,12 @@ k >= 2 a vector zero on the dropped coordinates.  `PsdVerdict.method`
 names the step that decided.  Verdicts do not depend on the machine.  A
 witness from step 3 comes from LAPACK, so the vector itself is
 deterministic per machine only.  `is_psd_exact` (Bareiss on the whole
-matrix) and `is_psd_float` (a tolerance verdict) decide a given matrix
-without the quotient.
+matrix) decides a given matrix without the quotient.  `is_psd_float` gives
+a tolerance verdict on the least eigenvalue of M itself, with no kernel
+quotiented out, but reads it without an eigendecomposition of M: at k = 1
+it takes G = U^T N U from the same builder as step 1 (`ClosedFormK1.gram`)
+and decomposes its type blocks (`symmetry.isotypic_eigh`), each eigenvalue
+of a block being one of M; a matrix without a twin group is one block.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ from tsppsd.moment import (
     GroundSet,
     MomentMatrix,
     closed_form_k1,
+    correctly_rounded,
     moment_matrix_enumerated_cycles,
     quadratic_form_value,
     relation_complement,
@@ -100,7 +105,7 @@ from tsppsd.moment import (
 )
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
 from tsppsd.rational import clear_denominators
-from tsppsd.symmetry import AdaptedBasis, adapted_basis, kept_coordinates, twin_classes
+from tsppsd.symmetry import AdaptedBasis, isotypic_eigh, kept_coordinates
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
@@ -115,10 +120,12 @@ EXACT_FALLBACK_CAP = 200
 @dataclass(frozen=True)
 class PsdVerdict:
     """A decision on a moment matrix M.  `min_eigenvalue_estimate` is a
-    float estimate of the least eigenvalue of the block that was decided:
-    of M itself for `is_psd_float`, of the kept block for the membership
-    decisions, which at k = 1 is a block of G = U^T M U in the adapted
-    basis U and not of M.  It is None when no eigendecomposition ran."""
+    float estimate of the least eigenvalue of the block that was decided.
+    For `is_psd_float` it is an eigenvalue of M itself, taken from the type
+    blocks of G = U^T M U scaled by the column norms of U
+    (`symmetry.isotypic_eigh`).  For the membership decisions it is one of
+    the kept block, which at k = 1 is a block of G and not of M.  It is
+    None when no eigendecomposition ran."""
 
     status: str  # "PSD" | "NOT_PSD"
     witness: tuple[int, ...] | None = None
@@ -139,20 +146,37 @@ def is_psd_exact(M: MomentMatrix) -> PsdVerdict:
 
 
 def is_psd_float(M: MomentMatrix, tol: float = FLOAT_TOLERANCE) -> PsdVerdict:
-    """Tolerance verdict from a LAPACK eigendecomposition.
+    """Tolerance verdict from the eigenvalues of M, taken type block by type
+    block (`symmetry.isotypic_eigh`) from G = U^T N U in the adapted basis
+    U of the twin group of the functional of a closed-form M
+    (`ClosedFormK1.gram`, which reads one row of N per representative and
+    checks the degree relations on it), and from M itself, one block,
+    otherwise.
 
-    PSD iff lambda_min >= -tol * max(1, ||M||_inf).  A NOT_PSD verdict
-    attaches a witness only when the rounded eigenvector certifies
-    v^T M v < 0 in exact arithmetic.  The estimate and the witness are
+    PSD iff lambda_min >= -tol * max(1, ||M||_inf).  The norm is the
+    largest absolute row sum of the correctly rounded rows read: they meet
+    every orbit of rows, and the rows of one orbit are permutations of each
+    other.  A NOT_PSD verdict attaches a witness only when the rounded
+    eigenvector, U y for the rounded y of its block, certifies v^T M v < 0
+    in exact arithmetic on the whole M.  The estimate and the witness are
     deterministic per machine only.
     """
-    A = M.to_float()  # correctly rounded, so bitwise float(M[i][j])
-    evals, vecs = np.linalg.eigh(A)
-    lam = float(evals[0])
-    scale = max(1.0, float(np.max(np.sum(np.abs(A), axis=1)))) if A.size else 1.0
+    U = None
+    if isinstance(M, ClosedFormK1):
+        U = M.twin_basis[0]
+        G, R = M.gram(U)
+    else:
+        G = R = M.N
+    A = correctly_rounded(G, M.scale)
+    rows = A if R is G else correctly_rounded(R, M.scale)
+    scale = max(1.0, float(np.max(np.sum(np.abs(rows), axis=1)))) if rows.size else 1.0
+    spectrum = isotypic_eigh(A, U, vectors=True)
+    low = int(np.argmin(spectrum.values))
+    lam = float(spectrum.values[low])
     if lam >= -tol * scale:
         return PsdVerdict("PSD", min_eigenvalue_estimate=lam, method="float-eigh")
-    v = _integer_direction(vecs[:, 0])
+    y = _integer_direction(spectrum.vectors[:, low])
+    v = y if U is None else U.times(y).tolist()
     return PsdVerdict(
         "NOT_PSD",
         witness=tuple(v) if M.quadratic_form(v) < 0 else None,
@@ -166,15 +190,6 @@ def _integer_direction(x: np.ndarray) -> list[int]:
     to integers; dividing by that entry fixes the sign."""
     peak = x[int(np.argmax(np.abs(x)))]
     return np.rint(x / peak * 2**20).astype(np.int64).tolist()
-
-
-def _check_star_kernel(cf: ClosedFormK1, R: np.ndarray | None = None) -> None:
-    """Tripwire: the degree relations must annihilate the rows R of the
-    matrix, all of it by default.  The property holds structurally for
-    every closed-form moment matrix, so a failure means a transcription
-    bug."""
-    if not cf.star_kernel_verified(R):
-        raise RuntimeError("degree relations not in matrix kernel")
 
 
 def require_unit_average(avg: Fraction) -> None:
@@ -231,31 +246,23 @@ def _adapted_quotient(
       the constant row).
 
     G is formed from the rows of N at the representatives of the columns
-    of U (`AdaptedBasis.gram`), one row per distinct representative, and N
+    of U (`ClosedFormK1.gram`), one row per distinct representative, and N
     is never built unless U is the identity, where every row is one.  The
-    degree relations are checked exactly on every row read
-    (`_check_star_kernel`): the images of the relations are combinations
-    of the relations, and each row of G on their type is a multiple of one
-    row read, so this proves that G annihilates them.  Every vector is then
-    a kept vector plus a kernel vector, the form on G is the form on the
-    kept block, and a certified PD kept block proves M PSD.  Raises
-    RuntimeError if a type block of G is not symmetric: M is invariant
+    degree relations are checked exactly on every row read, which proves
+    that G annihilates their images.  Every vector is then a kept vector
+    plus a kernel vector, the form on G is the form on the kept block, and
+    a certified PD kept block proves M PSD.  Raises RuntimeError if the
+    check fails or a type block of G is not symmetric: M is invariant
     under the group by construction, so that means a transcription bug.
     """
-    U, shape = adapted_basis(twin_classes(cf.C))
+    U, shape = cf.twin_basis
+    N = cf.gram(U)[0]
     G: MomentMatrix = cf
-    if U is None:
-        _check_star_kernel(cf)
-    else:
-        reps, at = np.unique(U.rep, return_inverse=True)
-        R = cf.rows(reps)
-        _check_star_kernel(cf, R)
-        N = U.gram(R, at)
+    if U is not None:
         index = range(len(N))
         G = MomentMatrix(
             1, [(j,) for j in index], map(str, index), N, cf.scale, n=cf.n
         )
-    N = G.N
     sizes = shape.orbit_sizes
     # a row |O| times the constant row has the diagonal |O|^2 N[0, 0]; a
     # product that wraps in int64 only lets a candidate through, which the

@@ -10,8 +10,12 @@ The c and d polynomials are transcribed once below and are too large to
 trust by eye, so every public entry point that evaluates them also offers a
 cross-check: exactly via the trace identities (the sum and the sum of
 squares of the residual pair are rational even though the pair itself is
-not), and numerically against an eigendecomposition of the closed-form
-matrix.
+not), and numerically against the spectrum of the closed-form matrix.
+That spectrum is never taken from a dense eigendecomposition of the
+(1 + C(n, 2))-square matrix: the matrix is invariant under the twin group
+of h_U (`symmetry`), S_m x S_{n-m}, so it is read, type block by type
+block, from its matrix in the adapted basis of that group, whose largest
+block has four coordinates (`symmetry.isotypic_eigh`).
 
 The eigenvector generators of each family are the integer columns of an
 integer matrix V, built and checked in column blocks of bounded size.  Each
@@ -40,7 +44,14 @@ from tsppsd.functionals import (
     make_subtour,
 )
 from tsppsd.linalg import exact_ldlt, integer_matmul
-from tsppsd.moment import MomentMatrix, closed_form_k1, degree_relations
+from tsppsd.moment import (
+    ClosedFormK1,
+    MomentMatrix,
+    closed_form_k1,
+    correctly_rounded,
+    degree_relations,
+)
+from tsppsd.symmetry import AdaptedBasis, isotypic_eigh
 
 FAMILY_LABELS = (
     "degree-relations",
@@ -406,11 +417,30 @@ def verify_eigenpairs_exact(n: int, m: int, a) -> EigenpairReport:
     )
 
 
+def _mix_grams(
+    ones: ClosedFormK1, m: int
+) -> tuple[np.ndarray, np.ndarray, AdaptedBasis | None]:
+    """The correctly rounded matrices G / scale of h_U, U = {1..m}, and of
+    `ones`, the closed form of the all-ones functional, in one basis: the
+    adapted basis of the twin group of h_U (ones is invariant under every
+    relabeling), returned third.  Each is read from one closed-form row per
+    representative (`ClosedFormK1.gram`)."""
+    cf = closed_form_k1(make_subtour(ones.n, range(1, m + 1)))
+    U = cf.twin_basis[0]
+    return (
+        correctly_rounded(cf.gram(U)[0], cf.scale),
+        correctly_rounded(ones.gram(U)[0], ones.scale),
+        U,
+    )
+
+
 def numerical_spectrum(n: int, m: int, a_val: float) -> np.ndarray:
-    """Eigenvalues of the closed-form matrix a*A_U + (1-a)*A_ones, ascending."""
-    AU = closed_form_k1(make_subtour(n, range(1, m + 1))).float_matrix()
-    A1 = closed_form_k1(make_ones(n)).float_matrix()
-    return np.linalg.eigvalsh(a_val * AU + (1.0 - a_val) * A1)
+    """Eigenvalues of the closed-form matrix a*A_U + (1-a)*A_ones, ascending,
+    with their multiplicities: a float combination of the two matrices in
+    the adapted basis of the twin group of h_U, decomposed type block by
+    type block (`symmetry.isotypic_eigh`)."""
+    GU, G1, U = _mix_grams(closed_form_k1(make_ones(n)), m)
+    return isotypic_eigh(a_val * GU + (1.0 - a_val) * G1, U).ascending()
 
 
 def spectrum_matches_numerical(n: int, m: int, a, tol: float = 1e-9) -> float:
@@ -438,18 +468,19 @@ class SqrtNCheck:
 
 def sqrt_n_nonpositivity(n: int, tol: float = 1e-12) -> list[SqrtNCheck]:
     """At a = sqrt(n) the smaller residual eigenvalue is nonpositive for
-    every 3 <= m <= n/2; verified from the c/d formulas and from the
-    numerical spectrum of the closed-form matrix."""
+    every 3 <= m <= n/2; verified from the c/d formulas and from the least
+    eigenvalue of the closed-form matrix, taken type block by type block
+    as in `numerical_spectrum`."""
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
     a_val = math.sqrt(n)
-    A1 = closed_form_k1(make_ones(n)).float_matrix()
+    ones = closed_form_k1(make_ones(n))
     out = []
     for m in range(3, n // 2 + 1):
         pair = residual_pair(n, m, a_val)
         scale = max(1.0, abs(pair.lambda_plus), abs(pair.lambda_minus))
-        AU = closed_form_k1(make_subtour(n, range(1, m + 1))).float_matrix()
-        lam_num = float(np.linalg.eigvalsh(a_val * AU + (1.0 - a_val) * A1)[0])
+        GU, G1, U = _mix_grams(ones, m)
+        lam_num = float(isotypic_eigh(a_val * GU + (1.0 - a_val) * G1, U).values.min())
         ok = (
             pair.d_nonnegative
             and pair.lambda_minus <= tol * scale
@@ -493,11 +524,12 @@ def ones_spectrum(n: int) -> OnesSpectrumReport:
         and cycle_rank == target
         and trace == n + 1
     )
-    evals = np.linalg.eigvalsh(cf.float_matrix())
+    U = cf.twin_basis[0]
+    evals = isotypic_eigh(correctly_rounded(cf.gram(U)[0], cf.scale), U).ascending()
     expected = np.sort(
         np.array([0.0] * n + [float(lam)] * target + [float(residual)])
     )
-    dev = float(np.max(np.abs(np.sort(evals) - expected)))
+    dev = float(np.max(np.abs(evals - expected)))
     return OnesSpectrumReport(
         n, star_rank, cycle_rank, lam, trace, residual, ok, dev
     )

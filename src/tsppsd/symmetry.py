@@ -45,7 +45,9 @@ gives the witness w = U y, with w^T N w = y^T G y exactly.  The copies of
 each type are independent (their supports are disjoint edge sets), so the
 dimension identity sum_rho dim(rho) * multiplicity(rho) = 1 + C(n, 2),
 checked when the basis of a tuple of class sizes is built, shows that they
-span the whole space.
+span the whole space.  The same congruence gives the spectrum of M
+(`isotypic_eigh`): the eigenvalues of each type block of G, scaled by the
+column norms, each with multiplicity dim(rho).
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ class AdaptedBasis:
     one row.  `reach` is the largest number of entries in a column.
 
     Column i has kappa[i] entries and the entry +1 at the row rep[i], its
-    representative.  The columns of one representation type are
-    consecutive: `single` lists those alone in their type, and `blocks`
-    the ranges (s, e) of the types with two or more columns."""
+    representative, and dims[i] is the dimension of its representation
+    type.  The columns of one type are consecutive: `single` lists those
+    alone in their type, and `blocks` the ranges (s, e) of the types with
+    two or more columns."""
 
     units: np.ndarray
     pick: np.ndarray
@@ -129,6 +132,7 @@ class AdaptedBasis:
     reach: int
     rep: np.ndarray
     kappa: np.ndarray
+    dims: np.ndarray
     single: np.ndarray
     blocks: tuple[tuple[int, int], ...]
 
@@ -192,6 +196,73 @@ class AdaptedBasis:
             x = y[self.others[a:b], None]
             np.add.at(w, R, x if W is None else x * W)
         return w
+
+
+@dataclass(frozen=True)
+class IsotypicSpectrum:
+    """The spectrum of a matrix M invariant under the twin group, type block
+    by type block: M has the eigenvalue values[k] with multiplicity
+    multiplicity[k], and, when the eigenvectors were asked for, U applied
+    to column k of `vectors` (c x c, each column supported on one type
+    block) is an eigenvector of M for values[k]."""
+
+    values: np.ndarray
+    multiplicity: np.ndarray
+    vectors: np.ndarray | None
+
+    def ascending(self) -> np.ndarray:
+        """Every eigenvalue of M, repeated by its multiplicity, ascending."""
+        return np.sort(np.repeat(self.values, self.multiplicity))
+
+
+def isotypic_eigh(
+    A: np.ndarray, U: AdaptedBasis | None, vectors: bool = False
+) -> IsotypicSpectrum:
+    """The spectrum of M from the float matrix A = U^T M U in the adapted
+    basis U, without an eigendecomposition of M: U = None stands for the
+    identity, one block.
+
+    Let D = diag(kappa) on the columns of one type t.  Copies of t have
+    disjoint supports, so U_t^T U_t = D, and the columns U_i / sqrt(kappa_i)
+    are the images of one unit vector under the isometric embeddings of the
+    copies (Schur's lemma makes every equivariant map between copies a
+    scaled isometry).  So M acts on the isotypic component of t as
+    B_t (x) I_dims[t] with B_t = D^-1/2 A_t D^-1/2: each eigenvalue of B_t
+    is one of M with multiplicity dims[t], and an eigenvector x of B_t
+    lifts to the eigenvector U (D^-1/2 x) of M.  A type with one column is
+    the 1 x 1 block A_ii / kappa_i.  With U = None, A = M is one block.
+    """
+    c = len(A)
+    if U is None:
+        values, Y = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+        return IsotypicSpectrum(values, np.ones(c, dtype=np.int64), Y)
+    inv = 1 / np.sqrt(U.kappa)
+    single = U.single
+    values = [A[single, single] / U.kappa[single]]
+    multiplicity = [U.dims[single]]
+    Y = None
+    if vectors:
+        Y = np.zeros((c, c))
+        Y[single, np.arange(len(single))] = inv[single]
+    col = len(single)
+    # the blocks of one size in one stacked call, one block per layer
+    by_size: dict[int, list[int]] = {}
+    for s, e in U.blocks:
+        by_size.setdefault(e - s, []).append(s)
+    for size, starts in by_size.items():
+        at = np.add.outer(starts, np.arange(size))
+        scale = inv[at]
+        B = A[at[:, :, None], at[:, None, :]] * scale[:, :, None] * scale[:, None, :]
+        if Y is None:
+            w = np.linalg.eigvalsh(B)
+        else:
+            w, x = np.linalg.eigh(B)
+            cols = col + np.arange(at.size).reshape(at.shape)
+            Y[at[:, :, None], cols[:, None, :]] = x * scale[:, :, None]
+        values.append(w.ravel())
+        multiplicity.append(np.repeat(U.dims[starts], size))
+        col += at.size
+    return IsotypicSpectrum(np.concatenate(values), np.concatenate(multiplicity), Y)
 
 
 def adapted_basis(classes: np.ndarray) -> tuple[AdaptedBasis | None, BasisShape]:
@@ -300,17 +371,22 @@ def basis_shape(sizes: tuple[int, ...]) -> BasisShape:
             np.concatenate([np.asarray(part[i], dtype=np.int64) for part in parts])
             for i in range(3)
         )
-        basis = _chunked(rows, cols, vals, 1 + E, types)
+        basis = _chunked(rows, cols, vals, 1 + E, types, dims)
     for a in (types, dims, orbit_sizes, relations):
         a.flags.writeable = False
     return BasisShape(sizes, types, dims, orbit_sizes, relations, basis)
 
 
 def _chunked(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int, types: np.ndarray
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    dim: int,
+    types: np.ndarray,
+    dims: np.ndarray,
 ) -> AdaptedBasis:
-    """The basis with the nonzero entries U[rows[t], cols[t]] = vals[t], and
-    the nondecreasing representation type of each column."""
+    """The basis with the nonzero entries U[rows[t], cols[t]] = vals[t], the
+    nondecreasing representation type of each column and its dimension."""
     c = len(types)
     count = np.bincount(cols, minlength=c)
     # the representative of each column: its first row where it is +1
@@ -357,7 +433,7 @@ def _chunked(
         x.flags.writeable = False
     return AdaptedBasis(
         units, pick, others, tuple(chunks), dim, int(count.max()),
-        rep, count, single, blocks,
+        rep, count, dims, single, blocks,
     )
 
 

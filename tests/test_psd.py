@@ -46,7 +46,12 @@ from tsppsd.psd import (
     verify_certificate,
     zero_one_collapse_check,
 )
-from tsppsd.spectra import residual_pair
+from tsppsd.spectra import (
+    ones_spectrum,
+    residual_pair,
+    spectrum_matches_numerical,
+    sqrt_n_nonpositivity,
+)
 from tsppsd.symmetry import (
     AdaptedBasis,
     adapted_basis,
@@ -419,6 +424,96 @@ def test_symmetric_facets_never_build_the_whole_matrix(monkeypatch):
         verdict = membership_p1(f)
         assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky")
     assert read == [3, 6]
+
+
+def test_float_route_never_builds_the_whole_matrix(monkeypatch, tmp_path):
+    # at n = 60 `is_psd_float` reads one row of N per representative of the
+    # adapted basis and `membership --float` reads the corner from one row,
+    # never the 1771 x 1771 matrix
+    def whole(self):
+        raise AssertionError("the whole matrix was built")
+
+    monkeypatch.setattr(ClosedFormK1, "N", property(whole))
+    for f in (make_ones(60), make_subtour(60, range(1, 16))):
+        verdict = is_psd_float(closed_form_k1(f))
+        assert (verdict.status, verdict.method) == ("PSD", "float-eigh")
+        # the degree relations are in the kernel
+        assert abs(verdict.min_eigenvalue_estimate) < 1e-12
+        spec, out = tmp_path / "f.json", tmp_path / "out.json"
+        spec.write_text(json.dumps(functional_to_spec(f)))
+        argv = ["membership", "--float", "--func", str(spec), "--out", str(out)]
+        assert cli.run(argv) == cli.EXIT_OK
+        data = json.loads(out.read_text())
+        assert (data["status"], data["method"]) == ("PSD", "float-eigh")
+
+
+def test_spectra_decompose_type_blocks_only(monkeypatch):
+    # the sqrt-n check at n = 30 and the spectrum oracles never decompose a
+    # matrix larger than a type block of the adapted basis of h_U
+    n = 30
+    largest = max(
+        e - s
+        for m in range(3, n // 2 + 1)
+        for s, e in closed_form_k1(make_subtour(n, range(1, m + 1))).twin_basis[0].blocks
+    )
+    assert largest == 4
+    for name in ("eigh", "eigvalsh"):
+        def guarded(A, real=getattr(np.linalg, name), name=name):
+            if A.shape[-1] > largest:
+                raise AssertionError(f"{name} of a {A.shape[-1]}-square matrix")
+            return real(A)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+    checks = sqrt_n_nonpositivity(n)
+    assert [c.m for c in checks] == list(range(3, n // 2 + 1))
+    assert all(c.ok for c in checks)
+    assert spectrum_matches_numerical(n, 10, "sqrt-n") < 1e-9
+    assert spectrum_matches_numerical(n, 7, Fraction(1)) < 1e-9
+    rep = ones_spectrum(8)
+    assert rep.exact_pass and rep.numerical_max_deviation < 1e-9
+
+
+def dense_float_verdict(M):
+    """The tolerance verdict of `is_psd_float` from a dense eigendecomposition
+    of the whole matrix: the status, lambda_min and ||M||_inf."""
+    A = M.float_matrix()
+    lam = float(np.linalg.eigvalsh(A)[0])
+    scale = max(1.0, float(np.abs(A).sum(axis=1).max()))
+    return ("PSD" if lam >= -psd.FLOAT_TOLERANCE * scale else "NOT_PSD"), lam, scale
+
+
+def test_float_verdicts_without_a_twin_group():
+    # matrices of rows, enumerated k = 2 matrices and closed forms whose
+    # twin group is trivial are one block: the verdict and the estimate are
+    # those of the dense eigendecomposition, and a witness certifies exactly
+    rng = np.random.default_rng(5)
+    mats = []
+    for d in (3, 7, 12):
+        B = rng.integers(-4, 5, (d - 1, d))
+        mats.append(as_matrix((B.T @ B).tolist()))
+        mats.append(as_matrix((B.T @ B - np.eye(d, dtype=np.int64)).tolist()))
+    n = 6
+    a = math.isqrt(n) + 1
+    mix = combine(a, make_subtour(n, {1, 2, 3}), 1 - a, make_ones(n))
+    for f in (make_ones(n), make_subtour(n, {1, 2, 3}), mix):
+        mats.append(moment_matrix_enumerated_cycles(n, f, 2))
+    n = 12
+    a = math.isqrt(n) + 1
+    for f in (make_subtour(n, range(1, 5)),
+              combine(a, make_subtour(n, range(1, 5)), 1 - a, make_ones(n))):
+        cf = closed_form_k1(without_twins(f))
+        assert cf.twin_basis[0] is None
+        mats.append(cf)
+    statuses = set()
+    for M in mats:
+        verdict = is_psd_float(M)
+        status, lam, scale = dense_float_verdict(M)
+        assert (verdict.status, verdict.method) == (status, "float-eigh")
+        assert abs(verdict.min_eigenvalue_estimate - lam) <= 1e-12 * scale
+        if verdict.witness is not None:
+            assert M.quadratic_form(verdict.witness) < 0
+        statuses.add(status)
+    assert statuses == {"PSD", "NOT_PSD"}
 
 
 def test_adapted_quotient_keeps_the_rank_block_by_block():

@@ -6,7 +6,7 @@ import pytest
 
 from fractions import Fraction
 
-from tsppsd.cycles import all_edges, edge
+from tsppsd.cycles import all_edges, edge, edge_index
 from tsppsd.functionals import (
     LinearFunctional,
     combine,
@@ -16,9 +16,9 @@ from tsppsd.functionals import (
     make_two_matching,
 )
 from tsppsd.linalg import exact_ldlt
-from tsppsd.moment import closed_form_k1, degree_relations
-from tsppsd.psd import _adapted_quotient, membership_p1
-from tsppsd.symmetry import adapted_basis, basis_shape, twin_classes
+from tsppsd.moment import closed_form_k1, correctly_rounded, degree_relations
+from tsppsd.psd import _adapted_quotient, is_psd_float, membership_p1
+from tsppsd.symmetry import adapted_basis, basis_shape, isotypic_eigh, twin_classes
 
 
 def dense(U, dtype=np.int64):
@@ -272,3 +272,77 @@ def test_chunks_hold_at_most_a_block_at_n_60(sizes):
     nnz = (1 + math.comb(n, 2) + 2 * (n - 2) * big + 4 * sum(s >= 4 for s in sizes)
            + 4 * math.comb(big, 2))
     assert entries.sum() + len(U.units) == nnz
+
+
+def block_spectrum(cf):
+    """The spectrum of the closed-form M from the type blocks of its G."""
+    U = cf.twin_basis[0]
+    return isotypic_eigh(correctly_rounded(cf.gram(U)[0], cf.scale), U, vectors=True), U
+
+
+def spectrum_functionals():
+    """Every facet kind, sqrt-n mixes, and random class-structured
+    functionals at n = 3..12 with int64 and Python-int numerators."""
+    rng = random.Random(14)
+    fs = []
+    for n in (6, 9, 13):
+        fs += [make_ones(n), make_subtour(n, {1, 2}), make_subtour(n, range(1, n // 2 + 1)),
+               make_edge_bound(n, edge(2, 4), "lower"), make_edge_bound(n, edge(2, 4), "upper"),
+               make_two_matching(n, {1, 2, 3}, [edge(1, 4), edge(2, 5), edge(3, 6)])]
+    for n, m in ((8, 3), (12, 5), (20, 7)):
+        a = math.isqrt(n) + 1
+        fs.append(combine(a, make_subtour(n, range(1, m + 1)), 1 - a, make_ones(n)))
+    for n in range(3, 13):
+        fs += [class_structured_functional(n, rng, top) for top in (1, 10**20)]
+    return fs
+
+
+def test_isotypic_spectrum_matches_the_dense_eigenvalues():
+    # the eigenvalues of the type blocks, repeated by the dimension of
+    # their type, are the spectrum of M as a multiset, and U lifts the
+    # eigenvectors of the blocks to eigenvectors of M
+    dtypes = set()
+    for f in spectrum_functionals():
+        cf = closed_form_k1(f)
+        dtypes.add(cf.N.dtype)
+        A = cf.float_matrix()
+        tol = 1e-12 * max(1.0, np.abs(A).sum(axis=1).max())
+        spectrum, U = block_spectrum(cf)
+        assert len(spectrum.values) == len(spectrum.multiplicity) == (
+            cf.dim if U is None else len(U.kappa))
+        values = spectrum.ascending()
+        assert values.shape == (cf.dim,)
+        assert np.abs(values - np.linalg.eigvalsh(A)).max() <= tol, f
+        V = spectrum.vectors if U is None else dense(U, float) @ spectrum.vectors
+        assert np.all(np.linalg.norm(V, axis=0) >= 1 - 1e-12)
+        assert np.abs(A @ V - V * spectrum.values).max() <= tol, f
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_isotypic_spectrum_without_vectors_has_the_same_values():
+    for f in spectrum_functionals()[::5]:
+        cf = closed_form_k1(f)
+        spectrum, U = block_spectrum(cf)
+        plain = isotypic_eigh(correctly_rounded(cf.gram(U)[0], cf.scale), U)
+        tol = 1e-12 * max(1.0, np.abs(cf.float_matrix()).sum(axis=1).max())
+        assert plain.vectors is None
+        assert np.array_equal(plain.multiplicity, spectrum.multiplicity)
+        assert np.abs(plain.values - spectrum.values).max() <= tol
+
+
+def test_isotypic_spectrum_refuses_a_non_invariant_matrix():
+    # N + w w^T with w = x_12 - x_23 + x_34 - x_14 keeps the degree
+    # relations in the kernel but breaks the twin group S_{1,2,3} x S_{4..7}
+    # of a subtour facet: its G has an asymmetric type block
+    n = 7
+    w = np.zeros(1 + math.comb(n, 2), dtype=np.int64)
+    for (u, v), s in (((1, 2), 1), ((2, 3), -1), ((3, 4), 1), ((1, 4), -1)):
+        w[1 + edge_index(edge(u, v), n)] = s
+    cf = closed_form_k1(make_subtour(n, {1, 2, 3}))
+    N = cf.N + np.outer(w, w)
+    cf.rows = lambda idx: N[np.asarray(idx)]
+    assert cf.star_kernel_verified(N)
+    with pytest.raises(RuntimeError, match="not invariant under the twin group"):
+        cf.gram(cf.twin_basis[0])
+    with pytest.raises(RuntimeError, match="not invariant under the twin group"):
+        is_psd_float(cf)
