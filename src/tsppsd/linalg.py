@@ -24,7 +24,9 @@ Two engines:
 integer vector families are the Bareiss ranks of their Gram matrices.
 `nonsingular_block` picks the pivots of a structural relation matrix by
 elimination modulo a prime, once per matrix; the nonzero determinant mod p
-that it finds proves the pivot block nonsingular.
+that it finds proves the pivot block nonsingular.  `kept_coordinates`
+carries that elimination on through the kernel vectors read from one
+matrix and returns the coordinates that its pivots leave.
 
 Floating-point eigenvalues, where a caller needs them, come from LAPACK
 (`np.linalg.eigh` / `eigvalsh`).
@@ -32,6 +34,7 @@ Floating-point eigenvalues, where a caller needs them, come from LAPACK
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -155,40 +158,97 @@ def exact_ldlt(matrix: Rows) -> LdltResult:
 PIVOT_PRIME = 1_000_003  # p^2 times any row count up to 2^13 fits int64
 
 
-def nonsingular_block(
-    R: np.ndarray, priority: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Rows P and columns Q of the integer matrix R with R[P, Q] square and
-    nonsingular, and |Q| the rank of R modulo the prime `PIVOT_PRIME`.
+@dataclass(frozen=True, eq=False)
+class PivotBlock:
+    """Rows P = `pivots` and columns Q = `columns` of an integer matrix R
+    with R[P, Q] square and nonsingular, and |Q| the rank of R modulo the
+    prime `PIVOT_PRIME` (`nonsingular_block`).  `reduced` is B = R[:, Q] T
+    mod p, with T invertible mod p and B[P] = I, and `order` holds the rank
+    of each row in the priority of the pivots.  The arrays are read-only,
+    and a block hashes by identity, so a cached block can key a cache
+    (`kept_coordinates`)."""
 
-    Gaussian elimination modulo p: the columns are taken in order, a column
-    independent mod p of those taken joins Q, and its pivot row is the first
-    row in `priority` (a permutation of the rows) where its reduced form is
-    nonzero.  The reduced columns B = R[:, Q] T, with T invertible mod p,
-    are kept at the identity on the pivot rows, so R[P, Q] T = I mod p and
-    det R[P, Q] is nonzero mod p, hence nonzero: the selection is its own
-    exact proof.
-    """
+    pivots: np.ndarray
+    columns: np.ndarray
+    reduced: np.ndarray
+    order: np.ndarray
+
+
+def _eliminate(
+    X: np.ndarray, order: np.ndarray
+) -> tuple[list[int], list[int], np.ndarray]:
+    """Gauss-Jordan elimination modulo p of the columns of the integer
+    matrix X, in order: a column independent mod p of those taken is taken,
+    and its pivot row is the row of least `order` where its reduced form is
+    nonzero.  Returns the pivot rows, the columns taken and their reduced
+    forms, kept at the identity on the pivot rows.  Each pivot clears its
+    row in every column at once, so a column found dependent costs one test
+    for zero."""
     p = PIVOT_PRIME
-    d, c = R.shape
-    rank_of = np.empty(d, dtype=np.int64)
-    rank_of[np.asarray(priority)] = np.arange(d)
-    B = np.zeros((d, min(d, c)), dtype=np.int64)
+    Y = np.asfortranarray(X % p)
     P: list[int] = []
     Q: list[int] = []
-    for j in range(c):
-        r = len(P)
-        x = (R[:, j] - B[:, :r] @ (R[P, j] % p)) % p
-        nz = np.flatnonzero(x)
+    for j in range(Y.shape[1]):
+        nz = np.flatnonzero(Y[:, j])
         if nz.size == 0:
             continue
-        i = int(nz[np.argmin(rank_of[nz])])
-        x = x * pow(int(x[i]), -1, p) % p
-        B[:, :r] = (B[:, :r] - np.outer(x, B[i, :r])) % p
-        B[:, r] = x
+        i = int(nz[np.argmin(order[nz])])
+        x = Y[:, j] * pow(int(Y[i, j]), -1, p) % p
+        cols = np.flatnonzero(Y[i])
+        Y[:, cols] = (Y[:, cols] - np.outer(x, Y[i, cols])) % p
+        Y[:, j] = x
         P.append(i)
         Q.append(j)
-    return P, Q
+    return P, Q, np.ascontiguousarray(Y[:, Q])
+
+
+def nonsingular_block(R: np.ndarray, priority: Sequence[int]) -> PivotBlock:
+    """The pivot block of the integer matrix R by Gaussian elimination
+    modulo p: the columns are taken in order, a column independent mod p of
+    those taken joins Q, and its pivot row is the first row in `priority`
+    (a permutation of the rows) where its reduced form is nonzero.  The
+    reduced columns B = R[:, Q] T are kept at the identity on the pivot
+    rows, so R[P, Q] T = I mod p and det R[P, Q] is nonzero mod p, hence
+    nonzero: the selection is its own exact proof.
+    """
+    order = np.empty(len(R), dtype=np.int64)
+    order[np.asarray(priority)] = np.arange(len(R))
+    P, Q, B = _eliminate(R, order)
+    arrays = (np.array(P, dtype=np.int64), np.array(Q, dtype=np.int64), B, order)
+    for a in arrays:
+        a.flags.writeable = False
+    return PivotBlock(*arrays)
+
+
+@functools.lru_cache(maxsize=256)
+def kept_coordinates(
+    block: PivotBlock, zero: tuple[int, ...], copies: tuple[tuple[int, int, int], ...]
+) -> tuple[int, ...]:
+    """The coordinates that complement the span of the columns R[:, Q] of
+    `block`, the unit vector of each row in `zero` and e_i - a e_j for each
+    (i, j, a) in `copies`: the kernel vectors known for a matrix that
+    annihilates R[:, Q], has those zero rows and has row i equal to a times
+    row j.  The columns read are reduced against B in one product, which
+    makes them vanish on P, and eliminated among themselves on the other
+    rows, in the priority of the block.  Their reduced forms are those of
+    one elimination of all the columns, so the pivot block of the whole is
+    nonsingular by the same proof as R[P, Q].  Built once per argument."""
+    p = PIVOT_PRIME
+    d = len(block.order)
+    X = np.zeros((d, len(zero) + len(copies)), dtype=np.int64)
+    X[list(zero), np.arange(len(zero))] = 1
+    if copies:
+        i, j, a = np.array(copies, dtype=np.int64).T
+        at = len(zero) + np.arange(len(copies))
+        X[i, at] = 1
+        X[j, at] = -a
+    P = block.pivots
+    X = (X - integer_matmul(block.reduced, X[P] % p, p)) % p
+    kept = np.ones(d, dtype=bool)
+    kept[P] = False
+    free = np.flatnonzero(kept)
+    kept[free[_eliminate(X[free], block.order[free])[0]]] = False
+    return tuple(np.flatnonzero(kept).tolist())
 
 
 def cholesky_shift(A: np.ndarray, entry_error_bound: float = 0.0) -> float:

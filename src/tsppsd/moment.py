@@ -47,7 +47,6 @@ from tsppsd.cycles import (
     TourArray,
     all_edges,
     count_cycles_with_edge_set,
-    edge,
     edge_index,
     enumerate_cycles,
     factorial,
@@ -56,7 +55,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import LinearFunctional
-from tsppsd.linalg import integer_matmul, nonsingular_block, peak
+from tsppsd.linalg import PivotBlock, integer_matmul, nonsingular_block, peak
 from tsppsd.polynomials import CertificatePolynomial
 from tsppsd.rational import clear_denominators, format_fraction
 from tsppsd.symmetry import AdaptedBasis, BasisShape, adapted_basis, twin_classes
@@ -657,39 +656,26 @@ def tour_relations(n: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelationComplement:
-    """Pivots of the structural relations of the degree-k moment matrices
-    over the tours of K_n, shared by every such matrix.  The arrays are
-    read-only.
+    """The structural relations of the degree-k moment matrices over the
+    tours of K_n and their pivot block, shared by every such matrix.  The
+    arrays are read-only.
 
-    `relations` is R = `tour_relations(n, k)`, and R[P, Q] is square and
-    nonsingular for the rows P = `pivots` and the columns Q = `columns`
-    (`linalg.nonsingular_block`, which proves it).  P is chosen for pairing
-    vertex 1: it prefers the monomials with a repeated edge, then those with
-    more factors at vertex 1, then those of lower degree, so at k = 1 it is
-    the constant and the edges at vertex 1.  Row w - 1 of `relabel` maps
-    each basis index to its image under the transposition of the vertices 1
-    and w.  A vertex relabeling permutes the relations and keeps R[P, Q], so
-    it carries the complement to one at pairing vertex w.
+    `relations` is R = `tour_relations(n, k)`, and `block` its pivot block
+    (`linalg.nonsingular_block`, which proves R[P, Q] nonsingular and keeps
+    the reduced form B of R[:, Q] mod p, so that `linalg.kept_coordinates`
+    reduces only the kernel vectors read from a matrix against it).  The
+    pivots prefer the monomials with a repeated edge, then those with more
+    factors at vertex 1, then those of lower degree, so at k = 1 they are
+    the constant and the edges at vertex 1.
     """
 
     relations: np.ndarray
-    pivots: np.ndarray
-    columns: np.ndarray
-    relabel: np.ndarray
-
-    def pivots_at(self, w: int) -> np.ndarray:
-        """The pivot rows P at pairing vertex w."""
-        return self.relabel[w - 1][self.pivots]
-
-    def relations_at(self, w: int) -> np.ndarray:
-        """The relations R[:, Q] at pairing vertex w.  The relabeling is an
-        involution, so it is its own inverse on the rows."""
-        return self.relations.take(self.relabel[w - 1], 0).take(self.columns, 1)
+    block: PivotBlock
 
 
 @functools.lru_cache(maxsize=16)
 def relation_complement(n: int, k: int) -> RelationComplement:
-    """The complement of the degree-k tour relations of K_n, built once."""
+    """The pivot block of the degree-k tour relations of K_n, built once."""
     edges = all_edges(n)
     basis = monomial_basis(len(edges), k, cap=sys.maxsize)
 
@@ -698,15 +684,8 @@ def relation_complement(n: int, k: int) -> RelationComplement:
         return len(set(m)) == len(m), -sum(1 in edges[c] for c in m), len(m)
 
     R = tour_relations(n, k)
-    P, Q = nonsingular_block(R, sorted(range(len(basis)), key=preference))
-    index = {m: i for i, m in enumerate(basis)}
-    relabel = np.empty((n, len(basis)), dtype=np.int64)
-    for w in range(1, n + 1):
-        swap = {1: w, w: 1}
-        image = [edge_index(edge(swap.get(u, u), swap.get(v, v)), n) for u, v in edges]
-        relabel[w - 1] = [index[tuple(sorted(image[c] for c in m))] for m in basis]
     return RelationComplement(
-        R, *map(_read_only, (np.array(P), np.array(Q), relabel))
+        R, nonsingular_block(R, sorted(range(len(basis)), key=preference))
     )
 
 

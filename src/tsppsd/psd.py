@@ -10,7 +10,14 @@ decides that block.  There are two builders.
 cap; `membership_pk_enumerated` takes the matrix of any degree k over the
 enumerated tours, up to the cycle cap.  The pipeline, fastest first:
 
-1. quotient out the kernel vectors known exactly:
+1. quotient out the kernel vectors known exactly, in one elimination for
+   every k (`linalg.kept_coordinates`): the relations of M, whose pivot
+   block is found and proved nonsingular modulo a prime once per shape
+   (`linalg.nonsingular_block`), then, read from N per call, the unit
+   vector of each zero row and e_i - a e_j for each row i that is a times
+   a row j.  Only these columns are reduced against the cached relations
+   and eliminated among themselves, and the modular pivot block of the
+   whole is its own proof.  The kept coordinates are the others:
 
    * k = 1, closed form: vertices u and v are twins when c_uw = c_vw for
      every other vertex w, and f, hence M, is invariant under the
@@ -28,8 +35,7 @@ enumerated tours, up to the cycle cap.  The pipeline, fastest first:
      whole M.  The kernel vectors of G known exactly are the images of
      the degree relations (one per class, one per class of two or more
      vertices), the unit vector of each zero row, and e_O - |O| e_0 for
-     each edge orbit O whose row is |O| times the constant row; their
-     pivots come from `linalg.nonsingular_block`, which proves them.
+     each edge orbit O whose row is |O| times the constant row.
      Every facet kind of the benchmark grid, up to n = 60 where M has
      dimension 1771, reads at most a few dozen rows of N (58 for a
      two-matching facet with five teeth) and reaches step 2 with a
@@ -38,22 +44,20 @@ enumerated tours, up to the cycle cap.  The pipeline, fastest first:
      representative and G = M;
    * any k, enumerated: the structural relations of `moment.tour_relations`
      (a repeated edge collapses, x_e^2 m = x_e m, and each degree relation
-     times each monomial of degree <= k - 1), with a pivot block proved
-     nonsingular once per (n, k) and relabeled to a pairing vertex, checked
-     exactly with `annihilates` on every call; then the unit vector of each
-     zero row and e_i - e_j for each repeated row, read from N off the
-     pivots.  At n = 8, k = 2 this takes the 435-dimensional matrix of the
-     all-ones functional to its rank, 203;
+     times each monomial of degree <= k - 1), whose pivot block is cached
+     per (n, k) (`moment.relation_complement`) and whose independent
+     columns are checked exactly with `annihilates` on every call; then
+     the unit vector of each zero row and e_i - e_j for each row equal to
+     an earlier row j.  At n = 8, k = 2 this takes the 435-dimensional
+     matrix of the all-ones functional to its rank, 203, and every facet
+     kind of the benchmark grid at n = 5..8 to a definite block;
 2. try a rigorous floating-point Cholesky certificate of definiteness on
    one float matrix, the correctly rounded N / scale gathered on the kept
    coordinates, which the Cholesky shifts in place (it is rebuilt only
    when the certificate fails and step 3 needs it);
-3. if the reduced matrix is numerically singular, deflate exact kernel
-   vectors reconstructed from the numerical nullspace (each one re-verified
-   in exact integer arithmetic before use) and retry; if it is clearly
-   indefinite, round the LAPACK eigenvector of the smallest eigenvalue to
-   an integer vector and keep it as the witness when v^T M v < 0 holds
-   exactly on the integer numerators of M;
+3. if the least LAPACK eigenvalue of the kept block is negative, however
+   small, round its eigenvector to an integer vector and keep it as the
+   witness when v^T M v < 0 holds exactly on the integer numerators of M;
 4. fall back to fraction-free Bareiss elimination on those integer
    numerators, which is always conclusive and produces an exact witness
    when the answer is NOT_PSD; above `EXACT_FALLBACK_CAP` reduced
@@ -90,7 +94,7 @@ from tsppsd.cycles import (
 )
 from tsppsd.errors import ResourceLimitError
 from tsppsd.functionals import FacetSpec, LinearFunctional, average_on_x
-from tsppsd.linalg import certified_pd, exact_ldlt
+from tsppsd.linalg import certified_pd, exact_ldlt, kept_coordinates
 from tsppsd.moment import (
     ClosedFormK1,
     DEFAULT_BASIS_CAP,
@@ -104,8 +108,7 @@ from tsppsd.moment import (
     zero_one_certificate,
 )
 from tsppsd.polynomials import CertificatePolynomial, edge_monomial, one_minus_edge
-from tsppsd.rational import clear_denominators
-from tsppsd.symmetry import AdaptedBasis, isotypic_eigh, kept_coordinates
+from tsppsd.symmetry import AdaptedBasis, isotypic_eigh
 
 DEFAULT_EXACT_CAP = 60
 FLOAT_TOLERANCE = 1e-10  # relative tolerance of the `is_psd_float` verdict
@@ -237,7 +240,8 @@ def _adapted_quotient(
     """The matrix G = U^T N U / scale of the form in the adapted basis U of
     the twin group of f (`symmetry`; G = M and U = None when the group is
     trivial), and the coordinates of a complement in G of the kernel
-    vectors known exactly (`symmetry.kept_coordinates`):
+    vectors known exactly (`linalg.kept_coordinates`, past the pivot block
+    of the relations of `symmetry.basis_shape`):
 
     * the images of the degree relations, which M annihilates;
     * the unit vector of each zero row of G;
@@ -270,34 +274,22 @@ def _adapted_quotient(
     square = sizes.astype(N.dtype) ** 2 * N[0, 0]
     row0 = N[0].tolist()
     copies = tuple(
-        j
+        (j, 0, int(sizes[j]))
         for j in np.flatnonzero((sizes > 0) & (N.diagonal() == square)).tolist()
         if N[j].tolist() == [int(sizes[j]) * x for x in row0]
     )
     zero = tuple(G.zero_rows())
-    return G, U, list(kept_coordinates(shape.sizes, zero, copies))
+    return G, U, list(kept_coordinates(shape.block, zero, copies))
 
 
 def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:
     if not keep:
         return PsdVerdict("PSD", method="trivial")
-    err = cf.float_entry_error_bound()
-    if certified_pd(cf.float_matrix(keep), err):
+    if certified_pd(cf.float_matrix(keep), cf.float_entry_error_bound()):
         return PsdVerdict("PSD", method="certified-cholesky")
-    A = cf.float_matrix(keep)  # certified_pd shifted its copy
-    evals, vecs = np.linalg.eigh(A)
-    scale = max(1.0, float(np.max(np.abs(A))))
+    evals, vecs = np.linalg.eigh(cf.float_matrix(keep))  # certified_pd shifted its copy
     lam_min = float(evals[0])
-    if lam_min > -1e-7 * scale:
-        sub_keep = _deflate_numerical_kernel(cf, keep, evals, vecs, scale)
-        if sub_keep is not None:
-            if certified_pd(cf.float_matrix(sub_keep), err):
-                return PsdVerdict(
-                    "PSD",
-                    min_eigenvalue_estimate=lam_min,
-                    method="certified-cholesky+deflation",
-                )
-    else:
+    if lam_min < 0:
         v = _integer_direction(vecs[:, 0])
         if cf.quadratic_form(v, keep) < 0:
             return PsdVerdict(
@@ -325,52 +317,6 @@ def _decide_reduced(cf: MomentMatrix, keep: list[int]) -> PsdVerdict:
     )
 
 
-def _deflate_numerical_kernel(
-    cf: MomentMatrix,
-    keep: list[int],
-    evals: np.ndarray,
-    vecs: np.ndarray,
-    scale: float,
-) -> list[int] | None:
-    """Reconstruct exact kernel vectors from the numerical nullspace.
-
-    Returns the coordinates left after dropping one pivot per kernel vector,
-    or None if any candidate fails exact verification.
-    """
-    null_mask = np.abs(evals) <= 1e-8 * scale
-    kdim = int(np.count_nonzero(null_mask))
-    if kdim == 0 or kdim == len(keep):
-        return None
-    W = vecs[:, null_mask].T.copy()  # kdim x r
-    r = W.shape[1]
-    pivots: list[int] = []
-    for row in range(kdim):
-        cand = int(np.argmax(np.abs(W[row])))
-        if abs(W[row, cand]) < 1e-6:
-            return None
-        W[row] /= W[row, cand]
-        for other in range(kdim):
-            if other != row:
-                W[other] -= W[other, cand] * W[row]
-        pivots.append(cand)
-    for row in range(kdim):
-        w = [Fraction(x).limit_denominator(10**8) for x in W[row]]
-        w = [x if abs(float(x)) > 1e-10 else Fraction(0) for x in w]
-        if not _kernel_vector_verified(cf, keep, w):
-            return None
-    return [keep[j] for j in range(r) if j not in set(pivots)]
-
-
-def _kernel_vector_verified(
-    cf: MomentMatrix, keep: list[int], w: list[Fraction]
-) -> bool:
-    """Exact check that M restricted to `keep` annihilates w: w scaled to
-    integers by its common denominator, times the integer numerator matrix
-    of M, must vanish."""
-    (column,), _ = clear_denominators([w])
-    return cf.annihilates(np.array(column, dtype=object)[:, None], keep)
-
-
 def membership_pk_enumerated(
     f: LinearFunctional,
     k: int,
@@ -387,40 +333,20 @@ def membership_pk_enumerated(
 
 def _structural_quotient(M: MomentMatrix) -> list[int]:
     """Coordinates of a complement of the kernel vectors of the enumerated
-    tour moment matrix M that are known exactly.
-
-    They are the structural relations R[:, Q] of `relation_complement`, with
-    pivots P, at a pairing vertex w, and, read from N outside P, the unit
-    vector of each zero row and e_i - e_j for each row i equal to an earlier
-    row j (N is symmetric by construction).  The vectors read from N vanish
-    on P, so their matrix on the pivots (P, the zero rows, the later rows of
-    each class) is block triangular with R[P, Q] and identities on the
-    diagonal, hence nonsingular, and needs no proof per call.  As at k = 1,
+    tour moment matrix M that are known exactly (`linalg.kept_coordinates`):
+    the structural relations R[:, Q] of `relation_complement`, and, read from
+    N, the unit vector of each zero row and e_i - e_j for each row i equal
+    to an earlier row j (N is symmetric by construction).  As at k = 1,
     every vector is then a kept vector plus a kernel vector, and a certified
-    PD kept block proves M PSD.  A pivot on a zero row or on a row of a
-    class loses that kernel vector, so w is the first vertex that drops the
-    most coordinates.  Raises RuntimeError if M does not annihilate R[:, Q]:
-    the property is structural, so a failure means a transcription bug.
+    PD kept block proves M PSD.  Raises RuntimeError if M does not
+    annihilate R[:, Q]: the property is structural, so a failure means a
+    transcription bug.
     """
     rc = relation_complement(M.n, M.k)
-    zero = M.zero_rows()
-    classes = M.equal_rows()
-
-    def dropped(w: int) -> np.ndarray:
-        drop = np.zeros(M.dim, dtype=bool)
-        drop[rc.pivots_at(w)] = True
-        for members in classes:  # disjoint, and without zero rows
-            drop[[i for i in members if not drop[i]][1:]] = True
-        drop[zero] = True
-        return drop
-
-    w, drop = max(
-        ((w, dropped(w)) for w in range(1, M.n + 1)),
-        key=lambda t: np.count_nonzero(t[1]),
-    )
-    if not M.annihilates(rc.relations_at(w)):
+    if not M.annihilates(rc.relations.take(rc.block.columns, 1)):
         raise RuntimeError("structural relations not in matrix kernel")
-    return np.flatnonzero(~drop).tolist()
+    copies = tuple((i, c[0], 1) for c in M.equal_rows() for i in c[1:])
+    return list(kept_coordinates(rc.block, tuple(M.zero_rows()), copies))
 
 
 def boundary_certificate(spec: FacetSpec) -> CertificatePolynomial:

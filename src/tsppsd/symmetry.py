@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tsppsd.linalg import nonsingular_block, peak
+from tsppsd.linalg import PivotBlock, nonsingular_block, peak
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,10 @@ class BasisShape:
     holds the images y of the degree relations
     (D_v = 2 e_0 - sum_{e at v} x_e): U y = -sum_{v in I_i} D_v for each
     class, and U y = D_q - D_p for each class with |I_i| >= 2 and p, q its
-    first two members.  `basis` is U when each class is a run of
-    consecutive vertices, and None when every class is a singleton: the
-    group is then trivial and U is the identity.  Its rows are then the
+    first two members; `block` is their pivot block with the rows in
+    order (`linalg.nonsingular_block`).  `basis` is U when each class is a
+    run of consecutive vertices, and None when every class is a singleton:
+    the group is then trivial and U is the identity.  Its rows are then the
     coordinates of the edges of K_n with the classes in that order, and its
     arrays are read-only.
     """
@@ -86,6 +87,7 @@ class BasisShape:
     dims: np.ndarray
     orbit_sizes: np.ndarray
     relations: np.ndarray
+    block: PivotBlock
     basis: AdaptedBasis | None
 
 
@@ -374,7 +376,8 @@ def basis_shape(sizes: tuple[int, ...]) -> BasisShape:
         basis = _chunked(rows, cols, vals, 1 + E, types, dims)
     for a in (types, dims, orbit_sizes, relations):
         a.flags.writeable = False
-    return BasisShape(sizes, types, dims, orbit_sizes, relations, basis)
+    block = nonsingular_block(relations, np.arange(c))
+    return BasisShape(sizes, types, dims, orbit_sizes, relations, block, basis)
 
 
 def _chunked(
@@ -442,37 +445,3 @@ def _square(table: np.ndarray, cols, p, r, q, s) -> tuple:
     rows = np.concatenate([table[p, q], table[r, q], table[p, s], table[r, s]])
     vals = np.repeat([1, -1, -1, 1], len(cols))
     return rows, np.tile(cols, 4), vals
-
-
-def quotient_vectors(
-    sizes: tuple[int, ...], zero: tuple[int, ...], copies: tuple[int, ...]
-) -> np.ndarray:
-    """The c x t integer matrix of the kernel vectors that the quotient of
-    the adapted basis of the class sizes `sizes` takes out: the images of
-    the degree relations, the unit vector of each coordinate in `zero`, and
-    e_O - |O| e_0 for each orbit indicator O in `copies`."""
-    shape = basis_shape(sizes)
-    R = shape.relations
-    c, t = R.shape
-    K = np.zeros((c, t + len(zero) + len(copies)), dtype=np.int64)
-    K[:, :t] = R
-    K[zero, t + np.arange(len(zero))] = 1
-    at = t + len(zero) + np.arange(len(copies))
-    K[copies, at] = 1
-    K[0, at] = -shape.orbit_sizes[list(copies)]
-    return K
-
-
-@functools.lru_cache(maxsize=256)
-def kept_coordinates(
-    sizes: tuple[int, ...], zero: tuple[int, ...], copies: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Coordinates of the adapted basis kept by the quotient by
-    `quotient_vectors`: `linalg.nonsingular_block` picks rows P with a
-    nonsingular block of them, which is its own proof, and the kept
-    coordinates are the others.  Built once per argument."""
-    K = quotient_vectors(sizes, zero, copies)
-    P, _ = nonsingular_block(K, np.arange(len(K)))
-    kept = np.ones(len(K), dtype=bool)
-    kept[P] = False
-    return tuple(np.flatnonzero(kept).tolist())

@@ -9,6 +9,8 @@ from tsppsd.linalg import (
     cholesky_shift,
     exact_ldlt,
     integer_matmul,
+    kept_coordinates,
+    nonsingular_block,
 )
 from tsppsd.rational import clear_denominators
 
@@ -212,3 +214,31 @@ def test_integer_matmul_bound_does_not_wrap_in_int64():
     for x in (2**52 - 1, 2**52, 2**52 + 1):
         B = np.array([[x], [x]], dtype=np.int64)
         assert integer_matmul(np.ones((1, 2), dtype=np.int64), B).tolist() == [[2 * x]]
+
+
+def test_kept_coordinates_continue_one_elimination():
+    # the relations' block cached, then the zero rows and the row copies
+    # reduced against it: the same pivots as one elimination of all the
+    # columns, and the dropped rows carry a block of full rank
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        d, t = int(rng.integers(4, 12)), int(rng.integers(1, 5))
+        R = rng.integers(-3, 4, size=(d, t)) * (rng.random((d, t)) < 0.5)
+        priority = rng.permutation(d)
+        rows = rng.permutation(d)
+        zero = tuple(sorted(rows[:2].tolist()))
+        copies = tuple(
+            (int(i), int(j), int(rng.integers(0, 4)))
+            for i, j in zip(rows[2:5].tolist(), rows[5:8].tolist())
+        )
+        X = np.zeros((d, len(zero) + len(copies)), dtype=np.int64)
+        for col, i in enumerate(zero):
+            X[i, col] = 1
+        for col, (i, j, a) in enumerate(copies, len(zero)):
+            X[i, col], X[j, col] = 1, -a
+        K = np.hstack([R, X])
+        whole = nonsingular_block(K, priority)
+        kept = kept_coordinates(nonsingular_block(R, priority), zero, copies)
+        assert sorted(kept) == sorted(set(range(d)) - set(whole.pivots.tolist()))
+        A = K[whole.pivots][:, whole.columns]
+        assert exact_ldlt((A.T @ A).tolist()).rank == len(whole.pivots) == d - len(kept)

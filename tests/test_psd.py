@@ -21,7 +21,7 @@ from tsppsd.functionals import (
     make_subtour,
     make_two_matching,
 )
-from tsppsd.linalg import certified_pd, exact_ldlt
+from tsppsd.linalg import certified_pd, exact_ldlt, kept_coordinates
 from tsppsd.moment import (
     ClosedFormK1,
     GroundSet,
@@ -52,13 +52,7 @@ from tsppsd.spectra import (
     spectrum_matches_numerical,
     sqrt_n_nonpositivity,
 )
-from tsppsd.symmetry import (
-    AdaptedBasis,
-    adapted_basis,
-    kept_coordinates,
-    quotient_vectors,
-    twin_classes,
-)
+from tsppsd.symmetry import AdaptedBasis, adapted_basis, twin_classes
 
 
 def as_matrix(rows):
@@ -345,6 +339,26 @@ def test_exact_fallback_refused_above_its_cap(monkeypatch, tmp_path):
     assert cli.run(argv) == cli.EXIT_RESOURCE
 
 
+def test_near_singular_negative_eigenvalue_gets_an_exact_witness(tmp_path):
+    # f = 1 + s (g - 1) for g(x) = |x & y| (n - 1) / (2n) on the tour
+    # y = 1-2-...-24-1, just outside P_1: no twins, so r = 253, and the
+    # kept block has lambda_min about -1.8e-8, where Bareiss is refused;
+    # the rounded eigenvector certifies it exactly
+    n = 24
+    s = Fraction(-147749, 131072)
+    c = s * Fraction(n - 1, 2 * n)
+    f = LinearFunctional(n, 1 - s, {edge(i, i % n + 1): c for i in range(1, n + 1)})
+    assert average_on_x(f) == 1
+    verdict = membership_p1(f)
+    assert (verdict.status, verdict.method) == ("NOT_PSD", "eigenvector-witness")
+    assert -1e-7 < verdict.min_eigenvalue_estimate < 0
+    assert closed_form_k1(f).quadratic_form(verdict.witness) < 0
+    spec = tmp_path / "f.json"
+    spec.write_text(json.dumps(functional_to_spec(f)))
+    argv = ["membership", "--func", str(spec), "--out", str(tmp_path / "out.json")]
+    assert cli.run(argv) == cli.EXIT_FAIL == 1
+
+
 def test_float_witness_checked_on_the_numerators():
     # NOT_PSD witnesses of is_psd_float: v^T N v / scale < 0, the same value
     # as the Fraction sum over the entries
@@ -542,15 +556,16 @@ def test_adapted_quotient_keeps_the_rank_block_by_block():
             assert total == exact_ldlt(cf.numerators().tolist()).rank
 
 
-def test_deflation_certifies_a_kernel_not_read_from_the_rows():
+def test_kernel_not_read_from_the_rows_is_decided_by_bareiss():
     # G = A^T A has rank 3 and no zero row, and no row repeats row 0 since
-    # no column of A repeats column 0: its kernel is found numerically
+    # no column of A repeats column 0: no quotient takes its kernel, and
+    # no eigenvector can certify a PSD matrix, so Bareiss decides
     A = np.array([[1, 2, 0, 1, 3], [0, 1, 1, 2, 1], [2, 0, 1, 1, 1]])
     M = as_matrix((A.T @ A).tolist())
     assert M.zero_rows() == []
     assert not any(np.array_equal(M.N[i], M.N[0]) for i in range(1, 5))
     verdict = _decide_reduced(M, list(range(5)))
-    assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky+deflation")
+    assert (verdict.status, verdict.method) == ("PSD", "exact-ldlt")
 
 
 def test_m2_subtour_on_boundary_with_extra_kernel():
@@ -692,43 +707,55 @@ def test_k2_verdicts_match_bareiss_on_the_full_matrix():
             full = exact_ldlt(M.numerators().tolist())  # `is_psd_exact`
             assert verdict.is_psd == full.is_psd
             if verdict.is_psd:
-                # the quotient drops only kernel directions: the kept block
-                # keeps the rank of M
+                # the quotient drops only kernel directions, and all of them:
+                # the kept block is nonsingular with the rank of M
                 keep = _structural_quotient(M)
-                assert exact_ldlt(M.numerators(keep).tolist()).rank == full.rank
+                kept = exact_ldlt(M.numerators(keep).tolist())
+                assert kept.rank == len(keep) == full.rank
             else:
                 assert M.quadratic_form(verdict.witness) < 0
             statuses.add(verdict.status)
         assert statuses == {"PSD", "NOT_PSD"}
 
 
+def test_k2_facets_certified_without_eigendecomposition(monkeypatch):
+    # the quotient takes the whole kernel of the degree-2 matrix of every
+    # facet kind of the benchmark grid, so its kept block is definite and
+    # the certified Cholesky decides at once, as at k = 1
+    def no_eigh(A):
+        raise AssertionError("eigendecomposition in the P_2 decision")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for n in range(5, 9):
+        for verts in (list(range(1, n + 1)), list(range(n, 0, -1))):
+            for f in benchmark_facets(n, verts):
+                verdict = membership_pk_enumerated(f, 2)
+                assert (verdict.status, verdict.method) == ("PSD", "certified-cholesky")
+
+
 def test_relation_complement_is_cached_read_only_and_nonsingular():
     for n in range(4, 8):
         rc = relation_complement(n, 2)
         assert relation_complement(n, 2) is rc
-        R, P, Q = rc.relations, rc.pivots, rc.columns
+        b = rc.block
+        R, P, Q = rc.relations, b.pivots, b.columns
         assert R is tour_relations(n, 2) and len(P) == len(Q)
-        for a in (R, P, Q, rc.relabel):
+        for a in (R, P, Q, b.reduced, b.order):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
         # the Bareiss rank of the Gram matrix confirms the proof mod p
         A = R[P][:, Q]
         assert exact_ldlt((A.T @ A).tolist()).rank == len(P)
-        # every vertex relabeling keeps the block: the relabeled relations
-        # vanish on the tours and have the same block on the moved pivots
+        # the relations vanish on the tours
         M = moment_matrix_enumerated_cycles(n, make_ones(n), 2)
-        for w in (1, n):
-            relations, pivots = rc.relations_at(w), rc.pivots_at(w)
-            assert M.annihilates(relations)
-            assert np.array_equal(relations[pivots], A)
+        assert M.annihilates(R[:, Q])
     # at k = 1: the degree relations, paired with the constant and the edges
-    # at the pairing vertex
+    # at vertex 1
     n = 7
     rc = relation_complement(n, 1)
     assert np.array_equal(rc.relations, degree_relations(n))
-    for w in range(1, n + 1):
-        at_w = [1 + edge_index(edge(w, j), n) for j in range(1, n + 1) if j != w]
-        assert sorted(rc.pivots_at(w).tolist()) == [0] + sorted(at_w)
+    at_1 = [1 + edge_index(edge(1, j), n) for j in range(2, n + 1)]
+    assert sorted(rc.block.pivots.tolist()) == [0] + at_1
 
 
 def planted_enumerated_faults():
@@ -884,14 +911,20 @@ def test_quotient_reads_its_kernel_vectors_from_g_exactly():
         sizes = shape.orbit_sizes.tolist()
         zero = tuple(i for i, row in enumerate(rows) if not any(row))
         copies = tuple(
-            i for i, row in enumerate(rows)
+            (i, 0, sizes[i]) for i, row in enumerate(rows)
             if sizes[i] and row == [sizes[i] * x for x in rows[0]]
         )
-        assert keep == list(kept_coordinates(shape.sizes, zero, copies))
-        assert G.annihilates(quotient_vectors(shape.sizes, zero, copies))
+        assert keep == list(kept_coordinates(shape.block, zero, copies))
+        K = np.zeros((len(rows), len(zero) + len(copies)), dtype=np.int64)
+        for col, i in enumerate(zero):
+            K[i, col] = 1
+        for col, (i, _, size) in enumerate(copies, len(zero)):
+            K[i, col], K[0, col] = 1, -size
+        assert G.annihilates(np.hstack([shape.relations, K]))
+        copied = {i for i, _, _ in copies}
         seen_copy |= bool(copies)
         seen_coincidence |= any(
-            sizes[i] and i not in copies and rows[i][i] == sizes[i] ** 2 * rows[0][0]
+            sizes[i] and i not in copied and rows[i][i] == sizes[i] ** 2 * rows[0][0]
             for i in range(len(rows))
         )
     assert seen_copy and seen_coincidence
